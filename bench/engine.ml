@@ -1,25 +1,18 @@
 (* Microbenchmark: the flat-array round engine (Network.exec) on its
    own — wall time and allocated words of a bare run per protocol shape,
-   plus two identity gates that cost nothing to keep honest:
+   plus an identity gate that costs nothing to keep honest: observation
+   must be free of behavior, so a run observed through a metrics sink
+   must end in the same states after the same rounds as a bare run.
 
-     - observation must be free of behavior: a run observed through a
-       metrics sink must end in the same states after the same rounds as
-       a bare run;
-     - the deprecated labelled alias (Network.exec_opts) must be a true
-       alias of [exec ~config] — same states, rounds and report.
-
-   The engine-vs-legacy-shim comparison this file used to make is gone
-   with the legacy engine's callers: [Network.run] survives only as the
-   differential oracle inside test/test_engine_diff.ml. Results go to
-   BENCH_engine.json and stdout.
+   The engine-vs-legacy comparison lives in test/test_engine_diff.ml,
+   which keeps the pre-redesign hashtable engine as its differential
+   oracle. Wall time is Unix.gettimeofday (real elapsed time, as in the
+   other benches). Results go to BENCH_engine.json and stdout.
 
      dune exec bench/engine.exe              # full sweep, grids to n=100k
      dune exec bench/engine.exe -- --quick   # CI smoke: small cases only,
                                              # exit 1 on any identity gate
      dune exec bench/engine.exe -- --out F   # write the JSON to F *)
-
-[@@@alert "-legacy"]
-(* for the exec_opts-is-an-alias gate below, nothing else *)
 
 let to_all g v msg =
   Gr.fold_neighbors g v ~init:[] ~f:(fun acc w -> (w, msg) :: acc)
@@ -76,9 +69,9 @@ let words_now () =
 let measure f =
   Gc.full_major ();
   let w0 = words_now () in
-  let t0 = Sys.time () in
+  let t0 = Unix.gettimeofday () in
   let x = f () in
-  let t1 = Sys.time () in
+  let t1 = Unix.gettimeofday () in
   let w1 = words_now () in
   (x, t1 -. t0, w1 -. w0)
 
@@ -93,7 +86,7 @@ type case = {
 }
 
 (* A case is split into two closures so the driver can schedule them
-   differently: the identity pass (observed run + alias run, results
+   differently: the identity pass (bare run + observed run, results
    compared — CPU-bound and independent across cases, so it fans out
    over the Pool when --jobs asks) and the timing pass (a bare run whose
    wall-clock number is the product, so it always runs serially on an
@@ -118,13 +111,9 @@ let prep name g proto =
         ~config:(Network.Config.with_observe (Observe.of_metrics m) config)
         g proto
     in
-    let aliased = Network.exec_opts ~bandwidth:4096 g proto in
     ( bare.Network.states = observed.Network.states
       && bare.Network.rounds = observed.Network.rounds
-      && Metrics.rounds m = bare.Network.rounds
-      && aliased.Network.states = bare.Network.states
-      && aliased.Network.rounds = bare.Network.rounds
-      && aliased.Network.report = bare.Network.report,
+      && Metrics.rounds m = bare.Network.rounds,
       bare.Network.rounds )
   in
   let timing () =

@@ -2,20 +2,16 @@
 
    Two sections:
 
-     tier-a   strong scaling of the epoch-sharded round loop: the same
-              run across (domains, epoch) points on a dense flood and on
-              the embedder's phase-1 protocols, with every sharded
-              result checked bit-identical to the sequential one before
-              its time is reported. The epoch sweep at domains = 4 shows
-              what cross-round batching buys: epoch = 1 is the
-              barrier-per-round scheduler, epoch = 8 lets interior
-              shards run eight fused rounds per barrier.
+     tier-a   strong scaling of the sharded round loop: the same run
+              across domain counts on a dense flood and on the
+              embedder's phase-1 protocols, with every sharded result
+              checked bit-identical to the sequential one before its
+              time is reported.
      tier-a/f strong scaling of the sharded clocked fault engine: the
               same faulted embedder run at domains = 1 and domains = 4,
-              each point run twice and gated on determinism (identical
-              replay) and an Euler-verified embedding. Fault schedules
-              are stream-distinct across domain counts, so the d=4
-              result is compared against its own replay, not d=1.
+              gated on an Euler-verified embedding and on the d=4 run
+              matching the d=1 run exactly (rotation, rounds and fault
+              stats) — the fault schedule depends only on the seed.
      tier-b   pool throughput: a seeded chaos sweep (independent
               fault-injected embedder runs) executed serially and then
               through Pool.map, results compared run by run. Gated at
@@ -57,11 +53,9 @@ let wall f =
   let x = f () in
   (x, Unix.gettimeofday () -. t0)
 
-(* The sweep: scaling over domains at the default epoch, plus the epoch
-   sweep at four domains (ISSUE: what does batching buy at fixed
-   parallelism?). The (1, 8) point is the sequential baseline — at one
-   domain the dispatcher takes the sequential engine and epoch is moot. *)
-let sweep_points = [ (1, 8); (2, 8); (4, 1); (4, 2); (4, 8); (8, 8) ]
+(* The sweep: scaling over domains. The first point is the sequential
+   baseline — at one domain the dispatcher takes the sequential engine. *)
+let sweep_points = [ 1; 2; 4; 8 ]
 
 (* ------------------------------------------------------------------ *)
 (* Tier A: one run, sharded                                            *)
@@ -72,28 +66,22 @@ type scaling = {
   a_n : int;
   a_rounds : int;
   a_flood : bool;  (* subject to the quick-mode wall gate *)
-  (* (domains, epoch, wall seconds, identical-to-sequential) per point *)
-  a_points : (int * int * float * bool) list;
+  (* (domains, wall seconds, identical-to-sequential) per point *)
+  a_points : (int * float * bool) list;
 }
 
 let scale_flood name g =
-  let cfg ~domains ~epoch =
-    Network.Config.make ~domains ~epoch ~bandwidth:4096 ()
-  in
+  let cfg domains = Network.Config.make ~domains ~bandwidth:4096 () in
   let (base, base_wall) =
-    wall (fun () -> Network.exec ~config:(cfg ~domains:1 ~epoch:8) g flood)
+    wall (fun () -> Network.exec ~config:(cfg 1) g flood)
   in
   let points =
     List.map
-      (fun (d, e) ->
-        if d = 1 then (1, e, base_wall, true)
+      (fun d ->
+        if d = 1 then (1, base_wall, true)
         else begin
-          let (r, w) =
-            wall (fun () ->
-                Network.exec ~config:(cfg ~domains:d ~epoch:e) g flood)
-          in
+          let (r, w) = wall (fun () -> Network.exec ~config:(cfg d) g flood) in
           ( d,
-            e,
             w,
             r.Network.states = base.Network.states
             && r.Network.rounds = base.Network.rounds
@@ -120,18 +108,18 @@ let fingerprint (o : Embedder.outcome) =
     o.Embedder.report.Embedder.rounds )
 
 let scale_embedder name g =
-  let outcome d e =
-    Embedder.run ~config:(Network.Config.make ~domains:d ~epoch:e ()) g
+  let outcome d =
+    Embedder.run ~config:(Network.Config.make ~domains:d ()) g
   in
-  let (base, base_wall) = wall (fun () -> outcome 1 8) in
+  let (base, base_wall) = wall (fun () -> outcome 1) in
   let fp0 = fingerprint base in
   let points =
     List.map
-      (fun (d, e) ->
-        if d = 1 then (1, e, base_wall, true)
+      (fun d ->
+        if d = 1 then (1, base_wall, true)
         else begin
-          let (o, w) = wall (fun () -> outcome d e) in
-          (d, e, w, fingerprint o = fp0)
+          let (o, w) = wall (fun () -> outcome d) in
+          (d, w, fingerprint o = fp0)
         end)
       sweep_points
   in
@@ -145,12 +133,10 @@ let scale_embedder name g =
 
 let print_scaling c =
   Printf.printf "tier-a   %-24s n=%-7d rounds=%-5d " c.a_name c.a_n c.a_rounds;
-  let w1 =
-    match c.a_points with (1, _, w, _) :: _ -> w | _ -> assert false
-  in
+  let w1 = match c.a_points with (1, w, _) :: _ -> w | _ -> assert false in
   List.iter
-    (fun (d, e, w, ok) ->
-      Printf.printf " d=%d/e=%d %7.3fs (%4.2fx)%s" d e w (w1 /. max 1e-9 w)
+    (fun (d, w, ok) ->
+      Printf.printf " d=%d %7.3fs (%4.2fx)%s" d w (w1 /. max 1e-9 w)
         (if ok then "" else " MISMATCH"))
     c.a_points;
   print_newline ()
@@ -162,15 +148,14 @@ let print_scaling c =
 type faulted = {
   f_name : string;
   f_n : int;
-  (* (domains, wall seconds, deterministic replay + Euler-verified) *)
+  (* (domains, wall seconds, identical to d=1 + Euler-verified) *)
   f_points : (int * float * bool) list;
 }
 
 let scale_faulted name g =
-  (* Faults compose with domains > 1 since PR 10; the schedule is
-     stream-distinct across domain counts, so each point's correctness
-     check is "run twice, byte-identical, Euler-verified" rather than a
-     diff against the d=1 run. *)
+  (* The fault schedule is a function of the seed alone, so every point
+     must reproduce the d=1 run exactly: rotation, rounds and fault
+     stats. *)
   let run d =
     let plan =
       Fault.make ~spec:{ Fault.default with drop = 0.05 } ~seed:42 ()
@@ -178,15 +163,18 @@ let scale_faulted name g =
     let o = Embedder.run ~config:(Network.Config.make ~faults:plan ~domains:d ()) g in
     (o, Fault.stats plan)
   in
+  let ((o0, s0), w0) = wall (fun () -> run 1) in
+  let euler =
+    match o0.Embedder.rotation with
+    | Some rot -> Rotation.is_planar_embedding rot
+    | None -> false
+  in
   let point d =
-    let ((o1, s1), w) = wall (fun () -> run d) in
-    let (o2, s2) = run d in
-    let euler =
-      match o1.Embedder.rotation with
-      | Some rot -> Rotation.is_planar_embedding rot
-      | None -> false
-    in
-    (d, w, euler && fingerprint o1 = fingerprint o2 && s1 = s2)
+    if d = 1 then (1, w0, euler)
+    else begin
+      let ((o, s), w) = wall (fun () -> run d) in
+      (d, w, euler && fingerprint o = fingerprint o0 && s = s0)
+    end
   in
   let points = List.map point [ 1; 4 ] in
   let c = { f_name = name; f_n = Gr.n g; f_points = points } in
@@ -260,17 +248,17 @@ let json ~cores ~tier_a ~tier_f ~tier_b =
   Buffer.add_string b "  \"tier_a_strong_scaling\": [\n";
   List.iteri
     (fun i c ->
-      let w1 = match c.a_points with (1, _, w, _) :: _ -> w | _ -> 0. in
+      let w1 = match c.a_points with (1, w, _) :: _ -> w | _ -> 0. in
       Buffer.add_string b
         (Printf.sprintf "    { \"name\": %S, \"n\": %d, \"rounds\": %d, \"points\": [\n"
            c.a_name c.a_n c.a_rounds);
       List.iteri
-        (fun j (d, e, w, ok) ->
+        (fun j (d, w, ok) ->
           Buffer.add_string b
             (Printf.sprintf
-               "      { \"domains\": %d, \"epoch\": %d, \"wall_s\": %.6f, \
-                \"speedup\": %.3f, \"identical\": %b }%s\n"
-               d e w (w1 /. max 1e-9 w) ok
+               "      { \"domains\": %d, \"wall_s\": %.6f, \"speedup\": %.3f, \
+                \"identical\": %b }%s\n"
+               d w (w1 /. max 1e-9 w) ok
                (if j = List.length c.a_points - 1 then "" else ",")))
         c.a_points;
       Buffer.add_string b
@@ -288,7 +276,7 @@ let json ~cores ~tier_a ~tier_f ~tier_b =
           Buffer.add_string b
             (Printf.sprintf
                "      { \"domains\": %d, \"wall_s\": %.6f, \
-                \"deterministic_euler_ok\": %b }%s\n"
+                \"identical_euler_ok\": %b }%s\n"
                d w ok
                (if j = List.length c.f_points - 1 then "" else ",")))
         c.f_points;
@@ -357,11 +345,12 @@ let () =
   Printf.printf "\nwrote %s\n" !out;
   (* Correctness is gated unconditionally: a sharded or pooled run that
      differs from the sequential one — or a faulted sharded run that
-     fails to replay or to embed — is a bug at any core count. *)
+     differs from the faulted d=1 run or fails to embed — is a bug at
+     any core count. *)
   let mismatches =
     List.length
       (List.concat_map
-         (fun c -> List.filter (fun (_, _, _, ok) -> not ok) c.a_points)
+         (fun c -> List.filter (fun (_, _, ok) -> not ok) c.a_points)
          tier_a)
     + List.length
         (List.concat_map
@@ -390,25 +379,24 @@ let () =
   if pool_slow <> [] then exit 1;
   (* The speedup gate needs hardware parallelism to be meaningful; on a
      single- or dual-core runner it is reported but not enforced. On a
-     >= 4-core runner the bar is a real win: the epoch-sharded flood at
-     four domains must beat the sequential wall outright (< 1.0x). *)
+     >= 4-core runner the bar is a real win: the sharded flood at four
+     domains must beat the sequential wall outright (< 1.0x). *)
   if !quick && cores >= 4 then begin
     let slow =
       List.filter
         (fun c ->
           c.a_flood
           &&
-          let ws = List.map (fun (d, e, w, _) -> ((d, e), w)) c.a_points in
-          let w1 = List.assoc (1, 8) ws in
-          let w4 = List.assoc (4, 8) ws in
+          let ws = List.map (fun (d, w, _) -> (d, w)) c.a_points in
+          let w1 = List.assoc 1 ws in
+          let w4 = List.assoc 4 ws in
           w4 >= 1.0 *. w1)
         tier_a
     in
     List.iter
       (fun c ->
         Printf.eprintf
-          "parallel: domains=4/epoch=8 failed to beat the sequential wall \
-           on %s\n"
+          "parallel: domains=4 failed to beat the sequential wall on %s\n"
           c.a_name)
       slow;
     if slow <> [] then exit 1

@@ -49,6 +49,17 @@ let family_t =
   Arg.(value & opt string "maxplanar" & info [ "family"; "f" ] ~doc:family_doc)
 
 let n_t = Arg.(value & opt int 100 & info [ "n" ] ~doc:"Number of vertices.")
+
+(* Counts of domains, jobs and runs: a value below 1 is a usage error
+   (exit 124 with the usage line), not an exception from the library. *)
+let pos_int =
+  let parse s =
+    match int_of_string_opt s with
+    | Some k when k >= 1 -> Ok k
+    | _ -> Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let rows_t = Arg.(value & opt int 8 & info [ "rows" ] ~doc:"Grid rows.")
 let cols_t = Arg.(value & opt int 8 & info [ "cols" ] ~doc:"Grid columns.")
 
@@ -383,12 +394,12 @@ let chaos_cmd =
   in
   let runs_t =
     Arg.(
-      value & opt int 1
+      value & opt pos_int 1
       & info [ "runs" ] ~doc:"Sweep this many consecutive seeds (seed, seed+1, ...).")
   in
   let jobs_t =
     Arg.(
-      value & opt int 1
+      value & opt pos_int 1
       & info [ "jobs" ]
           ~doc:
             "Run the seed sweep on this many domains (Pool.map): results and \
@@ -397,13 +408,13 @@ let chaos_cmd =
   in
   let domains_t =
     Arg.(
-      value & opt int 1
+      value & opt pos_int 1
       & info [ "domains" ]
           ~doc:
             "Run each faulty simulation on this many domains (the sharded \
-             clocked engine). Deterministic per (seed, domains); composes \
-             with --jobs. Note the fault schedule is seed-compatible but \
-             stream-distinct across domain counts.")
+             clocked engine); composes with --jobs. The fault schedule \
+             depends only on the seed: every run is identical at any \
+             domain count, only wall time changes.")
   in
   let parse_crash s =
     let fail () =
@@ -557,21 +568,10 @@ let certify_cmd =
             "Where the rotation comes from: the centralized planarity \
              $(b,kernel) or the full distributed $(b,embedder).")
   in
-  let kernel_t =
-    Arg.(
-      value & opt string "lr"
-      & info [ "kernel" ] ~doc:"Planarity kernel for --via kernel: lr | dmp.")
-  in
   let domains_t =
     Arg.(
-      value & opt int 1
+      value & opt pos_int 1
       & info [ "domains" ] ~doc:"Run the verification round on this many domains.")
-  in
-  let epoch_t =
-    Arg.(
-      value & opt int 8
-      & info [ "epoch" ]
-          ~doc:"Maximum rounds a shard may advance between barriers.")
   in
   let parse_corrupt s =
     match String.split_on_char '@' s with
@@ -585,24 +585,14 @@ let certify_cmd =
         Printf.eprintf "certify: cannot parse --corrupt %S (want K@SEED)\n" s;
         exit 2
   in
-  let run family n rows cols seglen seed m chord via kernel corrupt domains
-      epoch =
+  let run family n rows cols seglen seed m chord via corrupt domains =
     let g = make_graph family n rows cols seglen seed m chord in
     graph_summary g;
     let rotation =
       match via with
       | `Kernel -> (
-          let kernel =
-            match Planarity.kernel_of_string kernel with
-            | Some k -> k
-            | None ->
-                Printf.eprintf "certify: unknown kernel %S (want lr | dmp)\n"
-                  kernel;
-                exit 2
-          in
-          Printf.printf "rotation from    : %s kernel\n"
-            (Planarity.kernel_name kernel);
-          match Planarity.embed ~kernel g with
+          Printf.printf "rotation from    : lr kernel\n";
+          match Planarity.embed g with
           | Planarity.Planar r -> r
           | Planarity.Nonplanar ->
               Printf.printf "verdict          : not planar — nothing to certify\n";
@@ -629,7 +619,7 @@ let certify_cmd =
     let o =
       Certify.verify
         ~config:
-          (Network.Config.make ~domains ~epoch
+          (Network.Config.make ~domains
              ~observe:(Observe.make ~metrics:m ()) ())
         rotation certs
     in
@@ -675,7 +665,7 @@ let certify_cmd =
   let term =
     Term.(
       const run $ family_t $ n_t $ rows_t $ cols_t $ seglen_t $ seed_t $ m_t
-      $ chord_t $ via_t $ kernel_t $ corrupt_t $ domains_t $ epoch_t)
+      $ chord_t $ via_t $ corrupt_t $ domains_t)
   in
   Cmd.v
     (Cmd.info "certify"
@@ -712,7 +702,7 @@ let route_cmd =
   in
   let jobs_t =
     Arg.(
-      value & opt int 1
+      value & opt pos_int 1
       & info [ "jobs" ] ~doc:"Answer batched queries on this many domains.")
   in
   let path_t =

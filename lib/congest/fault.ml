@@ -44,17 +44,15 @@ let zero_stats =
     restarts = 0;
   }
 
-(* A splitmix64 stream position. The plan owns one (the engine-visit
-   stream of the sequential clocked engine); sharded runs derive keyed
-   substreams — fresh positions seeded from (seed, shard, round, slot) —
-   so fault decisions stay deterministic without a single stream forcing
-   a total consumption order across domains. *)
+(* A splitmix64 stream position. Every fault decision draws from a
+   keyed substream — a fresh position derived from (seed, round, slot) —
+   so no decision depends on how many others were drawn before it, or
+   on which domain computed the sender. *)
 type stream = { mutable pos : int64 }
 
 type plan = {
   spec : spec;
   seed : int;
-  stream : stream;
   mutable stats : stats;
   by_node : (int, crash list) Hashtbl.t;
   horizon : int;
@@ -104,8 +102,7 @@ let make ?(spec = default) ~seed () =
         max acc (match c.restart with Some r -> r | None -> c.at))
       0 spec.crashes
   in
-  { spec; seed; stream = { pos = mix seed }; stats = zero_stats; by_node;
-    horizon }
+  { spec; seed; stats = zero_stats; by_node; horizon }
 
 let spec p = p.spec
 let seed p = p.seed
@@ -113,9 +110,7 @@ let stats p = p.stats
 let horizon p = p.horizon
 let grace p = p.spec.grace
 
-let reset p =
-  p.stream.pos <- mix p.seed;
-  p.stats <- zero_stats
+let reset p = p.stats <- zero_stats
 
 type delivery = { offset : int; key : int option }
 
@@ -148,8 +143,6 @@ let fate_on p s =
     [ a; b ]
   end
   else [ one_copy p s ]
-
-let fate p = fate_on p p.stream
 
 let down p ~node ~round =
   match Hashtbl.find_opt p.by_node node with
@@ -187,29 +180,27 @@ let permute_on s a =
     a.(j) <- t
   done
 
-let permute p a = permute_on p.stream a
-
 (* ------------------------------------------------------------------ *)
-(* Keyed substreams (sharded fault decisions)                          *)
+(* Keyed substreams                                                    *)
 (* ------------------------------------------------------------------ *)
 
 (* A substream's position is a splitmix64 finalization of
-   (seed, shard, round, slot): well-separated keys give well-separated
-   streams, and the derivation consumes nothing from the plan's own
-   stream — the same (seed, key) always yields the same draws no matter
-   how many other substreams were opened before it. Stats still tally
-   into the shared plan, so substream draws must happen in a serial
-   section (the sharded engine's network phase). *)
+   (seed, round, slot): well-separated keys give well-separated streams,
+   and the same (seed, key) always yields the same draws no matter how
+   many other substreams were opened before it. The key names no shard:
+   a slot is a global dart id (or [nd + v]), so the draws are the same
+   at every domain count. Stats tally into the shared plan, so
+   substream draws must happen in a serial section (the engine's
+   network phase). *)
 type sub = { sp : plan; sstream : stream }
 
-let substream p ~shard ~round ~slot =
+let substream p ~round ~slot =
   let open Int64 in
   let h = ref (mix p.seed) in
   let absorb x =
     h := add !h (mul (of_int (x + 1)) 0x9E3779B97F4A7C15L);
     h := mul (logxor !h (shift_right_logical !h 30)) 0xBF58476D1CE4E5B9L
   in
-  absorb shard;
   absorb round;
   absorb slot;
   { sp = p; sstream = { pos = !h } }

@@ -5,29 +5,23 @@
     probabilities, bounded extra delivery delay (asynchrony within the
     round structure), scheduled node crashes with optional restarts, and
     an adversarial delivery mode that permutes every inbox. Installing a
-    plan in {!Network.exec} (its [?faults] argument) switches the engine
-    to its fault-aware {e clocked} loop; with no plan installed the
-    engine's behavior and performance are exactly those of the clean
-    flat-array loop. The precise semantics of each fault kind are
-    specified in DESIGN.md §9.
+    plan in {!Network.exec} (the [faults] field of its
+    {!Network.Config.t}) switches the engine to its fault-aware
+    {e clocked} loop; with no plan installed the engine's behavior and
+    performance are exactly those of the clean flat-array loop. The
+    precise semantics of each fault kind are specified in DESIGN.md §9.
 
-    {b Determinism.} Every random decision is drawn from one splitmix64
-    stream owned by the plan and seeded at construction. The engine
-    consumes the stream in a deterministic order (it is itself
-    deterministic), so two runs of the same protocol on the same graph
-    with plans built from the same spec and seed are identical — same
-    states, same rounds, same fault events, same trace. [test_fault.ml]
-    asserts this.
+    {b Determinism.} Every random decision is drawn from a keyed
+    splitmix64 {!substream} derived from the plan's seed and the
+    decision's (round, slot) key — never from a shared stream position.
+    A faulted run is therefore a pure function of (seed, spec, protocol,
+    graph): the same at every domain count — same states, same rounds,
+    same fault events, same trace. [test_fault.ml] and
+    [test_engine_diff.ml] assert this.
 
-    With [domains > 1] the sharded clocked engine draws each decision
-    from a keyed {!substream} instead — deterministic for a given
-    [(seed, domains)], but {e stream-distinct} from the [domains = 1]
-    run: the same seed produces an equally valid, different fault
-    schedule at each domain count. See {!section:substreams}.
-
-    A plan is mutable (the stream position and the {!stats} counters
-    advance as the engine consults it); build a fresh plan, or
-    {!reset} an existing one, for every run that must be reproducible. *)
+    A plan is mutable (the {!stats} counters advance as the engine
+    consults it); build a fresh plan, or {!reset} an existing one, for
+    every run whose stats must be reproducible. *)
 
 type crash = {
   node : int;  (** the node that fails. *)
@@ -70,8 +64,8 @@ val default : spec
     fair delivery, [grace = 8]. *)
 
 type plan
-(** A spec bound to a seeded random stream plus the run's fault
-    counters. *)
+(** A spec bound to a seed (the root of every keyed {!substream}) plus
+    the run's fault counters. *)
 
 val make : ?spec:spec -> seed:int -> unit -> plan
 (** [make ~spec ~seed ()] compiles the spec (default {!default}) into a
@@ -83,8 +77,8 @@ val spec : plan -> spec
 val seed : plan -> int
 
 val reset : plan -> unit
-(** Rewind the random stream to the seed and zero the {!stats} — the
-    plan will drive an identical run again. *)
+(** Zero the {!stats} — the plan will drive an identical run again (the
+    draws themselves depend only on the seed and their keys). *)
 
 type stats = {
   dropped : int;  (** messages lost on the wire. *)
@@ -103,9 +97,9 @@ val stats : plan -> stats
 (** {2 Engine-facing interface}
 
     The functions below are consulted by the fault-aware loop of
-    {!Network.exec}; library users normally never call them. They mutate
-    the plan's stream and counters, in engine-visit order, which is what
-    makes the whole run reproducible. *)
+    {!Network.exec}; library users normally never call them. They tally
+    the plan's counters, so the engine calls them from its serial
+    network phase. *)
 
 type delivery = {
   offset : int;
@@ -115,11 +109,6 @@ type delivery = {
       (** [Some k]: sort this copy under random key [k] instead of its
           send sequence number (a reordering). *)
 }
-
-val fate : plan -> delivery list
-(** Decide what happens to one sent message: [[]] = dropped; one or (on
-    duplication) two deliveries otherwise, each with its own delay and
-    reordering draws. Updates {!stats}. *)
 
 val down : plan -> node:int -> round:int -> bool
 (** Is the node crashed (and not yet restarted) in this round? *)
@@ -133,41 +122,37 @@ val note_crash_lost : plan -> unit
 (** Count one delivery discarded at a down node (the engine discards;
     the plan only keeps the score). *)
 
-val permute : plan -> 'a array -> unit
-(** Seeded in-place Fisher–Yates shuffle — the adversarial inbox
-    permutation. Consumes no randomness on arrays shorter than 2. *)
+(** {2:substreams Keyed substreams}
 
-(** {2:substreams Keyed substreams (sharded engine)}
-
-    The sequential clocked engine consumes the plan's single stream in
-    engine-visit order; a sharded visit order would scramble it. The
-    sharded fault engine instead opens a fresh substream per decision
-    point, keyed by [(shard, round, slot)] and derived from the plan's
-    seed by splitmix64 finalization — no draw consumes another key's
-    randomness, so the whole run is a pure function of
-    [(seed, domains, spec, protocol, graph)]. Verdicts are
-    {e seed-compatible but stream-distinct} from [domains = 1]: expect a
-    different (equally valid) fault schedule per domain count.
+    The engine opens a fresh substream per decision point, keyed by
+    [(round, slot)] and derived from the plan's seed by splitmix64
+    finalization — no draw consumes another key's randomness, and no
+    key depends on how the nodes are sharded over domains, so the whole
+    run is a pure function of [(seed, spec, protocol, graph)] at every
+    domain count.
 
     Substream draws tally {!stats} into the shared plan, so they must be
-    made from a serial section — the sharded engine's network phase —
-    never concurrently. *)
+    made from a serial section — the engine's network phase — never
+    concurrently. *)
 
 type sub
 (** A keyed substream of a plan's randomness. *)
 
-val substream : plan -> shard:int -> round:int -> slot:int -> sub
-(** [substream p ~shard ~round ~slot] opens the substream for one
-    decision point. The engine keys per-message fates by the sender's
-    shard, the send round and the target dart slot, and adversarial
-    inbox permutations by the recipient's shard, the delivery round and
-    a slot offset past the dart range. *)
+val substream : plan -> round:int -> slot:int -> sub
+(** [substream p ~round ~slot] opens the substream for one decision
+    point. The engine keys per-message fates by the send round and the
+    target dart slot (a global dart id), and adversarial inbox
+    permutations by the delivery round and [nd + v] for recipient [v]
+    ([nd] the dart count, so the two key ranges never collide). *)
 
 val sub_fate : sub -> delivery list
-(** {!fate}, drawing from the substream (stats tally into the plan). *)
+(** Decide what happens to one sent message: [[]] = dropped; one or (on
+    duplication) two deliveries otherwise, each with its own delay and
+    reordering draws. Updates {!stats}. *)
 
 val sub_permute : sub -> 'a array -> unit
-(** {!permute}, drawing from the substream. *)
+(** Seeded in-place Fisher–Yates shuffle — the adversarial inbox
+    permutation. Consumes no randomness on arrays shorter than 2. *)
 
 val horizon : plan -> int
 (** The last round mentioned by the crash schedule (0 if none): the

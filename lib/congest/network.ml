@@ -29,8 +29,6 @@ type 's run_result = { states : 's array; rounds : int; report : report }
 module Config = struct
   type t = {
     domains : int;
-    epoch : int;
-    steal : int;
     bandwidth : int option;
     max_rounds : int option;
     observe : Observe.t;
@@ -40,8 +38,6 @@ module Config = struct
   let default =
     {
       domains = 1;
-      epoch = 8;
-      steal = 4;
       bandwidth = None;
       max_rounds = None;
       observe = Observe.none;
@@ -49,17 +45,57 @@ module Config = struct
     }
 
   let with_domains domains c = { c with domains }
-  let with_epoch epoch c = { c with epoch }
-  let with_steal steal c = { c with steal }
   let with_bandwidth b c = { c with bandwidth = Some b }
   let with_max_rounds r c = { c with max_rounds = Some r }
   let with_observe observe c = { c with observe }
   let with_faults p c = { c with faults = Some p }
 
   let make ?(domains = 1) ?bandwidth ?max_rounds ?(observe = Observe.none)
-      ?faults ?(epoch = 8) ?(steal = 4) () =
-    { domains; epoch; steal; bandwidth; max_rounds; observe; faults }
+      ?faults () =
+    { domains; bandwidth; max_rounds; observe; faults }
 end
+
+(* What every engine resolves from the config the same way. A bounds
+   request needs a metrics accumulator, so a private one is conjured when
+   the caller supplied no sink. Successive runs on the same metrics
+   continue one timeline: rounds already accumulated ([base]) offset
+   this run's round numbers in the round log and the trace. *)
+type setup = {
+  bandwidth : int;
+  max_rounds : int;
+  trace : Trace.t option;
+  metrics : Metrics.t option;
+  base : int;
+}
+
+let setup ?bandwidth ?max_rounds observe g =
+  let bandwidth =
+    match bandwidth with Some b -> b | None -> default_bandwidth g
+  in
+  let max_rounds =
+    match max_rounds with Some r -> r | None -> (16 * Gr.n g) + 64
+  in
+  let metrics =
+    match (Observe.metrics observe, Observe.bounds observe) with
+    | None, Some _ -> Some (Metrics.create g)
+    | m, _ -> m
+  in
+  let base = match metrics with Some m -> Metrics.rounds m | None -> 0 in
+  { bandwidth; max_rounds; trace = Observe.trace observe; metrics; base }
+
+(* Close a run: fold its rounds into the metrics timeline and attach the
+   bounds verdict, if one was requested, to the engine's report. *)
+let finish observe ~metrics ~bandwidth ~n ~rounds states report =
+  (match metrics with Some m -> Metrics.add_rounds m rounds | None -> ());
+  let verdict =
+    match (Observe.bounds observe, metrics) with
+    | Some b, Some m ->
+        Some
+          (Bounds.check ?c_rounds:b.Observe.c_rounds ?c_bits:b.Observe.c_bits
+             ~bandwidth ~n ~d:b.Observe.d m)
+    | _ -> None
+  in
+  { states; rounds; report = { report with verdict } }
 
 (* In-place ascending heapsort of a.(0 .. k-1): the engine's worklists
    live in preallocated buffers, so the sort must not allocate. *)
@@ -119,27 +155,15 @@ let rec rank (a : int array) lo hi v =
    allocations are the in-flight cons cells and the inbox lists handed
    to the protocol (inherent to the protocol's list-based interface).
 
-   This is the zero-fault path: [exec] dispatches here whenever no fault
-   plan is installed, so the loop below must stay bit-identical to the
-   pre-fault engine (test_engine_diff.ml holds it to that). *)
+   This is the zero-fault sequential path: [exec] dispatches here
+   whenever no fault plan is installed and one domain suffices, so the
+   loop below must stay bit-identical to the pre-redesign engine
+   (test_engine_diff.ml holds it to that). *)
 let exec_clean ?bandwidth ?max_rounds ?(observe = Observe.none) g proto =
   let n = Gr.n g in
-  let bandwidth =
-    match bandwidth with Some b -> b | None -> default_bandwidth g
+  let { bandwidth; max_rounds; trace; metrics; base } =
+    setup ?bandwidth ?max_rounds observe g
   in
-  let max_rounds = match max_rounds with Some r -> r | None -> (16 * n) + 64 in
-  let trace = Observe.trace observe in
-  let metrics =
-    (* A bounds request needs a metrics accumulator; conjure a private
-       one when the caller did not supply a sink. *)
-    match (Observe.metrics observe, Observe.bounds observe) with
-    | None, Some _ -> Some (Metrics.create g)
-    | m, _ -> m
-  in
-  (* Successive runs on the same metrics continue one timeline: rounds
-     already accumulated offset this run's round numbers in the round log
-     and the trace. *)
-  let base = match metrics with Some m -> Metrics.rounds m | None -> 0 in
   let xadj = Gr.dart_offsets g in
   let srcs = Gr.dart_sources g in
   let dedge = Gr.dart_edges g in
@@ -165,7 +189,7 @@ let exec_clean ?bandwidth ?max_rounds ?(observe = Observe.none) g proto =
       let s = rank srcs xadj.(u) (xadj.(u + 1) - 1) v in
       if s < 0 then
         invalid_arg
-          (Printf.sprintf "Network.run: node %d sent to non-neighbor %d" u v);
+          (Printf.sprintf "Network.exec: node %d sent to non-neighbor %d" u v);
       rev.(s)
     in
     let bits = proto.msg_bits msg in
@@ -276,296 +300,18 @@ let exec_clean ?bandwidth ?max_rounds ?(observe = Observe.none) g proto =
     done;
     commit_round ~active:k
   done;
-  (match metrics with Some m -> Metrics.add_rounds m !round | None -> ());
-  let verdict =
-    match (Observe.bounds observe, metrics) with
-    | Some b, Some m ->
-        Some
-          (Bounds.check ?c_rounds:b.Observe.c_rounds ?c_bits:b.Observe.c_bits
-             ~bandwidth ~n ~d:b.Observe.d m)
-    | _ -> None
-  in
-  {
-    states;
-    rounds = !round;
-    report =
-      {
-        messages = !total_msgs;
-        bits = !total_bits;
-        max_message_bits = !max_msg_bits;
-        max_round_edge_bits = !max_burst;
-        active_peak = !active_peak;
-        verdict;
-      };
-  }
-
-(* The fault-aware clocked engine. [exec] dispatches here only when a
-   fault plan is installed, so this loop is free to favor clarity over
-   allocation discipline: deliveries live in a round-indexed pending
-   table (messages can be delayed across rounds), and every live node
-   takes a step every round — the clock that timeout-driven recovery
-   layers ({!Reliable}) need in order to retransmit. Every random
-   decision is drawn from the plan's seeded stream in engine-visit
-   order, which makes the whole run reproducible from
-   (protocol, graph, spec, seed). The semantics of each fault kind are
-   specified in DESIGN.md §9. *)
-let exec_faulty ~plan ?bandwidth ?max_rounds ?(observe = Observe.none) g proto =
-  let n = Gr.n g in
-  let bandwidth =
-    match bandwidth with Some b -> b | None -> default_bandwidth g
-  in
-  let max_rounds = match max_rounds with Some r -> r | None -> (16 * n) + 64 in
-  let trace = Observe.trace observe in
-  let metrics =
-    match (Observe.metrics observe, Observe.bounds observe) with
-    | None, Some _ -> Some (Metrics.create g)
-    | m, _ -> m
-  in
-  let base = match metrics with Some m -> Metrics.rounds m | None -> 0 in
-  let xadj = Gr.dart_offsets g in
-  let srcs = Gr.dart_sources g in
-  let dedge = Gr.dart_edges g in
-  let rev = Gr.dart_reversals g in
-  let nd = Array.length srcs in
-  (* A dart is a directed edge, so the metrics slot of each dart is
-     fixed; memo it once instead of re-deriving it per message. *)
-  let dir_of_dart = Array.make (max 1 nd) 0 in
-  for v = 0 to n - 1 do
-    for d = xadj.(v) to xadj.(v + 1) - 1 do
-      dir_of_dart.(d) <- (2 * dedge.(d)) + if srcs.(d) < v then 0 else 1
-    done
-  done;
-  let round = ref 0 in
-  let msgs_round = ref 0 in
-  let bits_round = ref 0 in
-  let total_msgs = ref 0 in
-  let total_bits = ref 0 in
-  let max_msg_bits = ref 0 in
-  let max_burst = ref 0 in
-  let active_peak = ref 0 in
-  (* Per-dart load of the current round, reset through the touched list
-     at commit time. *)
-  let load = Array.make (max 1 nd) 0 in
-  let touched = ref [] in
-  (* Deliveries in flight: delivery round -> (dst, src, key, seq, msg)
-     list in reverse insertion order. [seq] is the global send sequence
-     number; [key] is the inbox sort key — equal to [seq] normally, a
-     random draw for a reordered copy. *)
-  let pending : (int, (int * int * int * int * 'm) list) Hashtbl.t =
-    Hashtbl.create 64
-  in
-  let in_flight = ref 0 in
-  let seq = ref 0 in
-  let on_fault kind ~src ~dst =
-    (match metrics with Some m -> Metrics.note_fault m ~kind | None -> ());
-    match trace with
-    | Some tr -> Trace.on_fault tr ~round:(base + !round) ~kind ~src ~dst
-    | None -> ()
-  in
-  let schedule ~src ~dst msg (c : Fault.delivery) =
-    if c.Fault.offset > 0 then on_fault "delay" ~src ~dst;
-    let key =
-      match c.Fault.key with
-      | Some k ->
-          on_fault "reorder" ~src ~dst;
-          k
-      | None -> !seq
-    in
-    let at = !round + 1 + c.Fault.offset in
-    let sofar = try Hashtbl.find pending at with Not_found -> [] in
-    Hashtbl.replace pending at ((dst, src, key, !seq, msg) :: sofar);
-    incr seq;
-    incr in_flight
-  in
-  let send u (v, msg) =
-    let d =
-      let s = rank srcs xadj.(u) (xadj.(u + 1) - 1) v in
-      if s < 0 then
-        invalid_arg
-          (Printf.sprintf "Network.run: node %d sent to non-neighbor %d" u v);
-      rev.(s)
-    in
-    let bits = proto.msg_bits msg in
-    (match metrics with
-    | Some m -> Metrics.add_message_at m ~dir:dir_of_dart.(d) ~bits
-    | None -> ());
-    (match trace with
-    | Some tr -> Trace.on_message tr ~round:(base + !round) ~src:u ~dst:v ~bits
-    | None -> ());
-    incr msgs_round;
-    bits_round := !bits_round + bits;
-    if bits > !max_msg_bits then max_msg_bits := bits;
-    if load.(d) = 0 then touched := d :: !touched;
-    let now = load.(d) + bits in
-    load.(d) <- now;
-    if now > !max_burst then max_burst := now;
-    if now > bandwidth then
-      raise (Bandwidth_exceeded { round = !round; u; v; bits = now });
-    (* The sender paid for the message (metrics, bandwidth); only now
-       does the network decide its fate. *)
-    match Fault.fate plan with
-    | [] -> on_fault "drop" ~src:u ~dst:v
-    | [ c ] -> schedule ~src:u ~dst:v msg c
-    | cs ->
-        on_fault "duplicate" ~src:u ~dst:v;
-        List.iter (schedule ~src:u ~dst:v msg) cs
-  in
-  let commit_round ~active =
-    (match metrics with
-    | Some m ->
-        List.iter
-          (fun d ->
-            Metrics.note_round_edge_at m ~dir:dir_of_dart.(d) ~bits:load.(d))
-          !touched;
-        Metrics.record_round m ~round:(base + !round) ~active
-          ~messages:!msgs_round ~bits:!bits_round
-    | None -> ());
-    (match trace with
-    | Some tr ->
-        Trace.on_round tr ~round:(base + !round) ~active ~messages:!msgs_round
-          ~bits:!bits_round
-    | None -> ());
-    if active > !active_peak then active_peak := active;
-    total_msgs := !total_msgs + !msgs_round;
-    total_bits := !total_bits + !bits_round
-  in
-  let reset_loads () =
-    List.iter (fun d -> load.(d) <- 0) !touched;
-    touched := []
-  in
-  let apply_transitions r =
-    List.iter
-      (fun (node, what) ->
-        match what with
-        | `Crash -> on_fault "crash" ~src:node ~dst:(-1)
-        | `Restart -> on_fault "restart" ~src:node ~dst:(-1))
-      (Fault.transitions plan ~round:r)
-  in
-  (* Round 0: crashes scheduled at round 0 apply first; a node that is
-     down at round 0 still computes its initial state (the engine needs
-     one) but takes no step — its spontaneous sends are suppressed. *)
-  apply_transitions 0;
-  let states =
-    Array.init n (fun v ->
-        let (s, out) = proto.init g v in
-        if not (Fault.down plan ~node:v ~round:0) then List.iter (send v) out;
-        s)
-  in
-  if !msgs_round > 0 then commit_round ~active:n;
-  reset_loads ();
-  (* Landed copies of the round being delivered: per-recipient reverse
-     lists of (src, key, seq, msg), plus the list of recipients hit. *)
-  let landed : (int * int * int * 'm) list array = Array.make (max 1 n) [] in
-  let inbox : (int * 'm) list array = Array.make (max 1 n) [] in
-  let idle = ref 0 in
-  let grace = Fault.grace plan in
-  let horizon = Fault.horizon plan in
-  let pending_recipients () =
-    let seen = Hashtbl.create 16 in
-    Hashtbl.iter
-      (fun _ copies ->
-        List.iter (fun (dst, _, _, _, _) -> Hashtbl.replace seen dst ()) copies)
-      pending;
-    Hashtbl.length seen
-  in
-  if !msgs_round = 0 && !in_flight = 0 then idle := grace;
-  (* The clocked loop: runs until [grace] consecutive rounds saw no send
-     and nothing in flight, and the crash schedule's horizon has passed
-     (a restart scheduled after a lull must still execute). A run whose
-     init sent nothing, under a plan that schedules nothing, is over
-     immediately — as in the clean engine. *)
-  while not (!idle >= grace && !round >= horizon) do
-    if !round >= max_rounds then
-      raise
-        (No_quiescence
-           {
-             round = !round;
-             active = pending_recipients ();
-             messages = !msgs_round;
-           });
-    incr round;
-    let r = !round in
-    apply_transitions r;
-    (* Deliver: due copies land in their recipients' inboxes — unless
-       the recipient is down, in which case the network discards them
-       and keeps the score (a retransmission from the reliable layer,
-       not the engine, is what carries data past an outage). *)
-    let due = try List.rev (Hashtbl.find pending r) with Not_found -> [] in
-    Hashtbl.remove pending r;
-    List.iter
-      (fun (dst, src, key, sq, msg) ->
-        decr in_flight;
-        if Fault.down plan ~node:dst ~round:r then begin
-          Fault.note_crash_lost plan;
-          on_fault "crash-lost" ~src ~dst
-        end
-        else landed.(dst) <- (src, key, sq, msg) :: landed.(dst))
-      due;
-    (* Sort each hit inbox by (sender, key, seq): with no reordered
-       copies this is exactly the documented guarantee — ascending
-       sender, per-sender send order. Adversarial mode then shuffles the
-       whole inbox. Recipients are visited in ascending id order so the
-       shuffles consume the plan's stream deterministically. *)
-    let active = ref 0 in
-    for v = 0 to n - 1 do
-      match landed.(v) with
-      | [] -> ()
-      | copies ->
-          incr active;
-          landed.(v) <- [];
-          let a = Array.of_list copies in
-          Array.sort
-            (fun (s1, k1, q1, _) (s2, k2, q2, _) ->
-              compare (s1, k1, q1) (s2, k2, q2))
-            a;
-          if (Fault.spec plan).Fault.adversarial then Fault.permute plan a;
-          inbox.(v) <-
-            Array.fold_right (fun (src, _, _, m) acc -> (src, m) :: acc) a []
-    done;
-    msgs_round := 0;
-    bits_round := 0;
-    (* Compute: every live node steps, with an empty inbox if nothing
-       arrived — the clock a recovery layer's retransmission timers run
-       on. [active] keeps its metrics meaning: nodes that had mail. *)
-    for v = 0 to n - 1 do
-      if not (Fault.down plan ~node:v ~round:r) then begin
-        let (s, out) = proto.round g v states.(v) inbox.(v) in
-        inbox.(v) <- [];
-        states.(v) <- s;
-        List.iter (send v) out
-      end
-      else inbox.(v) <- []
-    done;
-    commit_round ~active:!active;
-    reset_loads ();
-    idle := if !msgs_round = 0 && !in_flight = 0 then !idle + 1 else 0
-  done;
-  (match metrics with Some m -> Metrics.add_rounds m !round | None -> ());
-  let verdict =
-    match (Observe.bounds observe, metrics) with
-    | Some b, Some m ->
-        Some
-          (Bounds.check ?c_rounds:b.Observe.c_rounds ?c_bits:b.Observe.c_bits
-             ~bandwidth ~n ~d:b.Observe.d m)
-    | _ -> None
-  in
-  {
-    states;
-    rounds = !round;
-    report =
-      {
-        messages = !total_msgs;
-        bits = !total_bits;
-        max_message_bits = !max_msg_bits;
-        max_round_edge_bits = !max_burst;
-        active_peak = !active_peak;
-        verdict;
-      };
-  }
+  finish observe ~metrics ~bandwidth ~n ~rounds:!round states
+    {
+      messages = !total_msgs;
+      bits = !total_bits;
+      max_message_bits = !max_msg_bits;
+      max_round_edge_bits = !max_burst;
+      active_peak = !active_peak;
+      verdict = None;
+    }
 
 (* ------------------------------------------------------------------ *)
-(* The epoch-batched work-stealing engine (Tier A of the multicore     *)
-(* layer)                                                              *)
+(* The sharded work-stealing engine                                    *)
 (* ------------------------------------------------------------------ *)
 
 (* Growable int buffer, reused across rounds: per-slot stagings and
@@ -638,18 +384,16 @@ end
 (* A slot aborts at its first error so its event buffer is exactly the
    prefix the sequential engine would have recorded before raising:
    [pos] is the buffered event count at the instant the error struck,
-   [rnd] the absolute round (epoch tasks run several rounds between
-   merges, so the slot must remember which one failed). *)
+   [rnd] the round it struck in. *)
 exception Stop_shard
 
 type slot_error = { rnd : int; pos : int; err : exn }
 
-(* Per-slot counters, one padded block per slot: in the width-1
-   stolen-chunk path every send bumps its slot's counters, and with the
-   old parallel arrays (sl_msgs/sl_bits/...) adjacent slots' counters
-   shared cache lines — a measured overhead fraction on chunk-heavy
-   workloads. 13 fields + header > 64 bytes keeps any two slots' hot
-   fields on different lines. *)
+(* Per-slot counters, one padded block per slot: every send bumps its
+   slot's counters, and with the old parallel arrays (sl_msgs/sl_bits/...)
+   adjacent slots' counters shared cache lines — a measured overhead
+   fraction on chunk-heavy workloads. 13 fields + header > 64 bytes
+   keeps any two slots' hot fields on different lines. *)
 type slot_acc = {
   mutable a_msgs : int;
   mutable a_bits : int;
@@ -672,48 +416,34 @@ let slot_acc () =
     a_err = None;
     _a0 = 0; _a1 = 0; _a2 = 0; _a3 = 0; _a4 = 0; _a5 = 0; _a6 = 0; _a7 = 0 }
 
+(* Work-stealing chunks per domain in each round's split (see below). *)
+let chunks_per_domain = 4
+
 (* The parallel round engine. The node range is split into [k]
    contiguous shards; a persistent [Pool.t] of [k] domains executes the
-   parallel sections, claiming tasks dynamically. Each global iteration
-   picks one of two modes:
+   parallel sections, claiming tasks dynamically. Each round, the
+   {e sorted active list} — not the node range — is split into up to
+   [k * chunks_per_domain] contiguous index chunks, so a wavefront
+   concentrated in one shard still spreads over every domain, and the
+   work-stealing pool keeps all domains busy even when chunk costs are
+   skewed. Deliver and compute are separate pool dispatches (a barrier
+   sits between them because sends may cross chunks); per-chunk
+   counters, event logs and stagings then merge in chunk order, which
+   equals ascending node order, which equals the sequential engine's
+   visit order.
 
-   {b Chunk mode} (epoch width 1 — the active set touches a shard
-   boundary, or epochs are disabled). The {e sorted active list} — not
-   the node range — is split into up to [k * steal] contiguous index
-   chunks, so a wavefront concentrated in one shard still spreads over
-   every domain, and the work-stealing pool keeps all domains busy even
-   when chunk costs are skewed. Deliver and compute are separate pool
-   dispatches (a barrier sits between them because sends may cross
-   chunks); per-chunk counters, event logs and stagings then merge in
-   chunk order, which equals ascending node order, which equals the
-   sequential engine's visit order.
-
-   {b Epoch mode} (width e >= 2). [dist.(v)] — precomputed once by
-   multi-source BFS — is the hop distance from [v] to the nearest
-   {e frontier} node (one with a neighbor in another shard). If every
-   active node has [dist >= e], then inductively every node computing in
-   local round j of the epoch has [dist >= e - (j - 1) >= 1], so {e no
-   send leaves its shard for e rounds}: each shard runs e fused
-   deliver+compute rounds against the shared dart state it exclusively
-   owns, touching the pool barrier twice per epoch instead of twice per
-   round. Boundary darts cannot be written during the epoch by
-   construction — the "flush" of boundary traffic is the return to
-   width-1 chunk mode as soon as the active set nears a frontier.
-   Per-shard round logs (plain cumulative counters per local round) let
-   the serial epoch merge fold per-round totals without touching a
-   single message.
-
-   {b Deferred observation.} Observation sinks no longer cost a serial
-   replay per barrier. When no sink consumes per-message events (the
-   benchmark hot path) the slots buffer nothing and the barriers fold
-   plain counters. When observation is on, each slot appends its events
-   to a persistent log, every committed round appends one {e frame}
-   (round, active, totals, per-slot event watermarks) to a run-global
-   frame log, and the whole timeline is merged {e once at run end} — a
-   slot-order k-way walk of the frame log that replays messages, derives
-   each round's first-touched recipients for burst accounting, and emits
-   the round records. The price is retaining the event log for the whole
-   run, the same order of memory a message-keeping trace already costs.
+   {b Deferred observation.} Observation sinks cost no serial replay
+   per barrier. When no sink consumes per-message events (the benchmark
+   hot path) the slots buffer nothing and the barriers fold plain
+   counters. When observation is on, each slot appends its events to a
+   persistent log, every committed round appends one {e frame} (round,
+   active, totals, per-slot event watermarks) to a run-global frame
+   log, and the whole timeline is merged {e once at run end} — a
+   slot-order k-way walk of the frame log that replays messages,
+   derives each round's first-touched recipients for burst accounting,
+   and emits the round records. The price is retaining the event log
+   for the whole run, the same order of memory a message-keeping trace
+   already costs.
 
    {b Boundary mail.} Sends never write another shard's cache lines
    during a parallel section: a cross-shard message (sid u <> sid v) is
@@ -724,38 +454,27 @@ let slot_acc () =
    sequential per-dart cons order). Bandwidth is charged at send time
    from a slot-local per-outbox accumulator — all traffic on a dart in
    one round comes from its unique sender's single outbox — so the
-   engine no longer keeps a shared per-dart load array at all.
+   engine keeps no shared per-dart load array at all.
 
-   Both modes preserve bit-identity with [exec_clean] — states,
-   rounds, report, metrics, trace — at every (domains, epoch, steal);
-   the differential suite (test_engine_diff.ml) holds them to that.
-   Error behavior is faithful too: each slot stops at its first error,
-   the merge flushes the frame log and then replays exactly the event
-   prefix the sequential engine would have recorded (slots below the
-   failing one in full, the failing slot up to the error — for epochs,
-   complete rounds before the failing round first), and re-raises the
-   error the sequential sweep would have hit first: lowest
-   (round, slot).
+   The result is bit-identical to [exec_clean] — states, rounds,
+   report, metrics, trace — at every domain count; the differential
+   suite (test_engine_diff.ml) holds it to that. Error behavior is
+   faithful too: each slot stops at its first error, the merge flushes
+   the frame log and then replays exactly the event prefix the
+   sequential engine would have recorded (slots below the failing one
+   in full, the failing slot up to the error), and re-raises the error
+   the sequential sweep would have hit first: the lowest slot's.
 
    Protocols must be pure (no shared mutable state in their closures):
    [init]/[round] of different nodes run concurrently, and [init] of
    node 0 is invoked one extra time to seed the states array. *)
-let exec_parallel ~domains ~epoch ~steal ?bandwidth ?max_rounds
-    ?(observe = Observe.none) g proto =
+let exec_parallel ~domains ?bandwidth ?max_rounds ?(observe = Observe.none) g
+    proto =
   let n = Gr.n g in
   let k = domains in
-  let epoch_max = epoch in
-  let bandwidth =
-    match bandwidth with Some b -> b | None -> default_bandwidth g
+  let { bandwidth; max_rounds; trace; metrics; base } =
+    setup ?bandwidth ?max_rounds observe g
   in
-  let max_rounds = match max_rounds with Some r -> r | None -> (16 * n) + 64 in
-  let trace = Observe.trace observe in
-  let metrics =
-    match (Observe.metrics observe, Observe.bounds observe) with
-    | None, Some _ -> Some (Metrics.create g)
-    | m, _ -> m
-  in
-  let base = match metrics with Some m -> Metrics.rounds m | None -> 0 in
   let xadj = Gr.dart_offsets g in
   let srcs = Gr.dart_sources g in
   let dedge = Gr.dart_edges g in
@@ -784,52 +503,11 @@ let exec_parallel ~domains ~epoch ~steal ?bandwidth ?max_rounds
       sid.(v) <- i
     done
   done;
-  (* Hop distance to the nearest shard frontier, the epoch-legality
-     oracle: an epoch of width e is sound iff every active node is at
-     distance >= e. Nodes in components with no frontier keep max_int —
-     their activity can never leave the shard. *)
-  let dist =
-    if epoch_max <= 1 then [||]
-    else begin
-      let d = Array.make (max 1 n) max_int in
-      let q = Array.make (max 1 n) 0 in
-      let qt = ref 0 in
-      for v = 0 to n - 1 do
-        let frontier = ref false in
-        let dd = ref xadj.(v) in
-        while (not !frontier) && !dd < xadj.(v + 1) do
-          if sid.(srcs.(!dd)) <> sid.(v) then frontier := true;
-          incr dd
-        done;
-        if !frontier then begin
-          d.(v) <- 0;
-          q.(!qt) <- v;
-          incr qt
-        end
-      done;
-      let qh = ref 0 in
-      while !qh < !qt do
-        let u = q.(!qh) in
-        incr qh;
-        let du = d.(u) in
-        for dd = xadj.(u) to xadj.(u + 1) - 1 do
-          let w = srcs.(dd) in
-          if d.(w) > du + 1 then begin
-            d.(w) <- du + 1;
-            q.(!qt) <- w;
-            incr qt
-          end
-        done
-      done;
-      d
-    end
-  in
   let box : 'm list array = Array.make (max 1 nd) [] in
   let has_mail = Array.make (max 1 n) false in
   let staged = Array.make (max 1 n) 0 in
   let n_staged = ref 0 in
   let active_buf = Array.make (max 1 n) 0 in
-  let n_active = ref 0 in
   let inbox : (int * 'm) list array = Array.make (max 1 n) [] in
   (* One extra (discarded) init of node 0 seeds the array; protocols are
      pure, so the real pass below overwrites it with the same value. *)
@@ -842,11 +520,11 @@ let exec_parallel ~domains ~epoch ~steal ?bandwidth ?max_rounds
   let max_msg_bits = ref 0 in
   let max_burst = ref 0 in
   let active_peak = ref 0 in
-  (* Per-slot accumulators: a slot is a chunk in chunk mode (up to
-     k * steal of them) or a shard in epoch mode (the first k). Counters
-     fold at the merge, stagings dedupe there; event logs are
-     append-only for the whole run and replay once at the end. *)
-  let nslots = k * steal in
+  (* Per-slot accumulators, one per chunk (up to k * chunks_per_domain
+     of them). Counters fold at the merge, stagings dedupe there; event
+     logs are append-only for the whole run and replay once at the
+     end. *)
+  let nslots = k * chunks_per_domain in
   let sl = Array.init nslots (fun _ -> slot_acc ()) in
   let sl_staged = Array.init nslots (fun _ -> Ibuf.make 64) in
   let sl_events =
@@ -877,15 +555,6 @@ let exec_parallel ~domains ~epoch ~steal ?bandwidth ?max_rounds
     Array.init nslots (fun _ -> Array.init k (fun _ -> Mbuf.make ()))
   in
   let fl_staged = Array.init k (fun _ -> Ibuf.make 64) in
-  (* Epoch-mode per-shard logs. [sh_dstaged] accumulates the {e deduped}
-     staged recipients of every local round in first-touch order;
-     [sh_rlog] stores five ints per completed local round — cumulative
-     messages, cumulative bits, active count, event watermark, staging
-     watermark — so the merge can fold per-round deltas and slices.
-     [sh_cur] is the shard's working (sorted) active list. *)
-  let sh_dstaged = Array.init k (fun _ -> Ibuf.make 64) in
-  let sh_rlog = Array.init k (fun _ -> Ibuf.make 80) in
-  let sh_cur = Array.init k (fun _ -> Ibuf.make 64) in
   (* The run-global frame log (observing runs only): per committed round
      [rnd; nc; active; msgs; bits; wm_0 .. wm_{nc-1}], where wm_s is
      slot s's event-log length at commit. [cursor] tracks each slot's
@@ -914,7 +583,7 @@ let exec_parallel ~domains ~epoch ~steal ?bandwidth ?max_rounds
             pos = sl_events.(slot).Ibuf.len;
             err =
               Invalid_argument
-                (Printf.sprintf "Network.run: node %d sent to non-neighbor %d"
+                (Printf.sprintf "Network.exec: node %d sent to non-neighbor %d"
                    u v);
           };
       raise_notrace Stop_shard
@@ -1035,19 +704,8 @@ let exec_parallel ~domains ~epoch ~steal ?bandwidth ?max_rounds
       fpos := p + 5 + nc
     done
   in
-  (* First index in the sorted active prefix holding a node >= x. *)
-  let lower_bound x =
-    let rec go a b =
-      if a >= b then a
-      else begin
-        let mid = (a + b) / 2 in
-        if active_buf.(mid) < x then go (mid + 1) b else go a mid
-      end
-    in
-    go 0 !n_active
-  in
-  (* Commit one chunk-mode (or init) round: when observing, append a
-     frame for the run-end merge; totals fold either way. *)
+  (* Commit one round (or init): when observing, append a frame for the
+     run-end merge; totals fold either way. *)
   let commit_round ~nc ~active =
     if observing then begin
       Ibuf.push frames !round;
@@ -1069,7 +727,7 @@ let exec_parallel ~domains ~epoch ~steal ?bandwidth ?max_rounds
     shutdown ();
     raise e
   in
-  (* Deliver the boundary mail staged during a width-1 section: walk
+  (* Deliver the boundary mail staged during a parallel section: walk
      destination shards, draining slots in ascending order — each
      destination's box/has_mail cells get exactly one writer, and slot
      order preserves the sequential per-dart cons order. Serial when the
@@ -1119,7 +777,7 @@ let exec_parallel ~domains ~epoch ~steal ?bandwidth ?max_rounds
       done
     end
   in
-  (* Fold one width-1 parallel section (init or a chunked round) back
+  (* Fold one parallel section (init or a chunked round) back
      into the global round state; on error, flush the frame log and
      replay only the sequential prefix of the failing round, then
      re-raise. Chunks are contiguous ascending slices of the visit
@@ -1168,207 +826,8 @@ let exec_parallel ~domains ~epoch ~steal ?bandwidth ?max_rounds
       Ibuf.clear sl_staged.(i)
     done
   in
-  (* One shard's whole epoch: up to [e] fused deliver+compute rounds
-     against dart state no other domain touches (the epoch-legality
-     invariant), logging enough per round for the serial merge to
-     replay. Stops early when the shard's own activity dies out — no
-     other shard can reactivate it mid-epoch. *)
-  let shard_epoch i round_base e =
-    let lrnd = ref round_base in
-    try
-      let a = lower_bound shard_lo.(i) and b = lower_bound shard_lo.(i + 1) in
-      let cur = sh_cur.(i) in
-      Ibuf.clear cur;
-      for idx = a to b - 1 do
-        Ibuf.push cur active_buf.(idx)
-      done;
-      let acount = ref cur.Ibuf.len in
-      let raw = sl_staged.(i) in
-      let dst = sh_dstaged.(i) in
-      let rl = sh_rlog.(i) in
-      let j = ref 0 in
-      while !acount > 0 && !j < e do
-        incr j;
-        let rnd = round_base + !j in
-        lrnd := rnd;
-        (* Deliver to this shard's recipients only: their in-dart ranges
-           were last written by this shard (local rounds) or before the
-           epoch started (the dispatch barrier ordered those writes). *)
-        for idx = 0 to !acount - 1 do
-          let v = cur.Ibuf.a.(idx) in
-          has_mail.(v) <- false;
-          let acc = ref [] in
-          for d = xadj.(v + 1) - 1 downto xadj.(v) do
-            match box.(d) with
-            | [] -> ()
-            | msgs ->
-                let u = srcs.(d) in
-                List.iter (fun m -> acc := (u, m) :: !acc) msgs;
-                box.(d) <- []
-          done;
-          inbox.(v) <- !acc
-        done;
-        Ibuf.clear raw;
-        for idx = 0 to !acount - 1 do
-          let v = cur.Ibuf.a.(idx) in
-          let (s, out) = proto.round g v states.(v) inbox.(v) in
-          inbox.(v) <- [];
-          states.(v) <- s;
-          sl.(i).a_tick <- sl.(i).a_tick + 1;
-          List.iter (send i rnd v) out
-        done;
-        (* Dedup this round's raw (per-dart) stagings into the epoch log
-           in first-touch order — the order the sequential engine stages
-           these same recipients in. *)
-        let dst0 = dst.Ibuf.len in
-        for idx = 0 to raw.Ibuf.len - 1 do
-          let w = raw.Ibuf.a.(idx) in
-          if not has_mail.(w) then begin
-            has_mail.(w) <- true;
-            Ibuf.push dst w
-          end
-        done;
-        Ibuf.push rl sl.(i).a_msgs;
-        Ibuf.push rl sl.(i).a_bits;
-        Ibuf.push rl !acount;
-        Ibuf.push rl sl_events.(i).Ibuf.len;
-        Ibuf.push rl dst.Ibuf.len;
-        (* Next round's worklist: this round's staging, sorted. *)
-        Ibuf.clear cur;
-        for idx = dst0 to dst.Ibuf.len - 1 do
-          Ibuf.push cur dst.Ibuf.a.(idx)
-        done;
-        sort_prefix cur.Ibuf.a cur.Ibuf.len;
-        acount := cur.Ibuf.len
-      done
-    with
-    | Stop_shard -> ()
-    | e ->
-        sl.(i).a_err <-
-          Some { rnd = !lrnd; pos = sl_events.(i).Ibuf.len; err = e }
-  in
-  (* Serial epoch merge: fold the shards' round logs into per-round
-     totals in shard order. Shard order per round = ascending node order
-     = the sequential engine's visit order, because epochs only run when
-     every send stays shard-internal. When observing, each local round
-     appends one frame; messages replay at run end, not here. *)
-  let merge_epoch () =
-    let round_base = !round in
-    let cnt i = sh_rlog.(i).Ibuf.len / 5 in
-    (* Field f of shard i's local round j (1-based); 0 for j = 0. Fields:
-       0 cumulative msgs, 1 cumulative bits, 2 active, 3 event
-       watermark, 4 staging watermark. *)
-    let rl_get i j f =
-      if j = 0 then 0 else sh_rlog.(i).Ibuf.a.((5 * (j - 1)) + f)
-    in
-    (* Earliest error by (absolute round, shard) — the one the
-       sequential sweep would have hit first. *)
-    let err_slot = ref (-1) in
-    let err_rnd = ref max_int in
-    for i = k - 1 downto 0 do
-      match sl.(i).a_err with
-      | Some { rnd; _ } when rnd <= !err_rnd ->
-          err_rnd := rnd;
-          err_slot := i
-      | _ -> ()
-    done;
-    let r_full =
-      if !err_slot >= 0 then !err_rnd - round_base - 1
-      else begin
-        let r = ref 0 in
-        for i = 0 to k - 1 do
-          if cnt i > !r then r := cnt i
-        done;
-        !r
-      end
-    in
-    for j = 1 to r_full do
-      incr round;
-      let m_j = ref 0 and b_j = ref 0 and a_j = ref 0 in
-      for i = 0 to k - 1 do
-        if cnt i >= j then begin
-          m_j := !m_j + rl_get i j 0 - rl_get i (j - 1) 0;
-          b_j := !b_j + rl_get i j 1 - rl_get i (j - 1) 1;
-          a_j := !a_j + sh_rlog.(i).Ibuf.a.((5 * (j - 1)) + 2)
-        end
-      done;
-      if observing then begin
-        Ibuf.push frames !round;
-        Ibuf.push frames k;
-        Ibuf.push frames !a_j;
-        Ibuf.push frames !m_j;
-        Ibuf.push frames !b_j;
-        (* A shard that died out before local round j keeps its final
-           watermark — an empty replay slice at merge time. A shard that
-           never ran this epoch has no log rows at all; its watermark is
-           its event length as it stood, which the cursor already equals
-           (rl_get would say 0 and rewind the cursor). *)
-        for i = 0 to k - 1 do
-          let wm =
-            if cnt i = 0 then sl_events.(i).Ibuf.len
-            else rl_get i (min j (cnt i)) 3
-          in
-          Ibuf.push frames wm
-        done
-      end;
-      if !a_j > !active_peak then active_peak := !a_j;
-      total_msgs := !total_msgs + !m_j;
-      total_bits := !total_bits + !b_j;
-      msgs_round := !m_j;
-      bits_round := !b_j
-    done;
-    if !err_slot >= 0 then begin
-      (* The failing round: shards below the erring one completed it (a
-         same-round error in a lower shard would have been selected), so
-         their events replay in full; the erring shard replays up to the
-         error; higher shards never ran sequentially. No round record —
-         the sequential engine raises before its commit. *)
-      let slot = !err_slot in
-      let jl = !err_rnd - round_base in
-      let { rnd; pos; err } =
-        match sl.(slot).a_err with Some e -> e | None -> assert false
-      in
-      incr round;
-      if observing then begin
-        flush_frames ();
-        for i = 0 to slot - 1 do
-          if cnt i >= jl then
-            replay ~rnd ~tally:false i (cursor.(i) / 2) (rl_get i jl 3 / 2)
-        done;
-        replay ~rnd ~tally:false slot (cursor.(slot) / 2) (pos / 2)
-      end;
-      fail_with err
-    end;
-    (* Pending work for the next global iteration: each shard's final
-       staging slice — already deduped, [has_mail] already set. Shards
-       that died out mid-epoch contribute an empty slice. *)
-    n_staged := 0;
-    for i = 0 to k - 1 do
-      let c = cnt i in
-      if c > 0 then begin
-        let dst = sh_dstaged.(i) in
-        for idx = rl_get i (c - 1) 4 to rl_get i c 4 - 1 do
-          staged.(!n_staged) <- dst.Ibuf.a.(idx);
-          incr n_staged
-        done
-      end
-    done;
-    for i = 0 to k - 1 do
-      let a = sl.(i) in
-      if a.a_maxmsg > !max_msg_bits then max_msg_bits := a.a_maxmsg;
-      if a.a_maxburst > !max_burst then max_burst := a.a_maxburst;
-      a.a_msgs <- 0;
-      a.a_bits <- 0;
-      a.a_maxmsg <- 0;
-      a.a_maxburst <- 0;
-      Ibuf.clear sl_staged.(i);
-      Ibuf.clear sh_dstaged.(i);
-      Ibuf.clear sh_rlog.(i);
-      Ibuf.clear sh_cur.(i)
-    done
-  in
-  (* Init: chunked over contiguous node ranges (sends may cross shards
-     here, so this is a width-1 section with the standard merge). *)
+  (* Init: chunked over contiguous node ranges, with the standard
+     merge. *)
   let nc_init = max 1 (min nslots n) in
   Pool.run pool ~tasks:nc_init (fun c ->
       let lo = c * n / nc_init and hi = (c + 1) * n / nc_init in
@@ -1396,140 +855,100 @@ let exec_parallel ~domains ~epoch ~steal ?bandwidth ?max_rounds
     let kact = !n_staged in
     Array.blit staged 0 active_buf 0 kact;
     sort_prefix active_buf kact;
-    n_active := kact;
     n_staged := 0;
-    (* Epoch width: the least frontier distance over the active set,
-       clamped by the configured maximum and the round budget. Width 1
-       is chunk mode. *)
-    let e =
-      if epoch_max <= 1 then 1
-      else begin
-        let m = ref max_int in
-        let i = ref 0 in
-        while !i < kact && !m > 1 do
-          let dv = dist.(active_buf.(!i)) in
-          if dv < !m then m := dv;
-          incr i
-        done;
-        max 1 (min (min !m epoch_max) (max_rounds - !round))
-      end
-    in
     msgs_round := 0;
     bits_round := 0;
-    if e <= 1 then begin
-      incr round;
-      let rnd = !round in
-      let nc = min nslots kact in
-      Pool.run pool ~tasks:nc (fun c ->
-          let lo = c * kact / nc and hi = (c + 1) * kact / nc in
-          try
-            for idx = lo to hi - 1 do
-              let v = active_buf.(idx) in
-              has_mail.(v) <- false;
-              let acc = ref [] in
-              for d = xadj.(v + 1) - 1 downto xadj.(v) do
-                match box.(d) with
-                | [] -> ()
-                | msgs ->
-                    let u = srcs.(d) in
-                    List.iter (fun m -> acc := (u, m) :: !acc) msgs;
-                    box.(d) <- []
-              done;
-              inbox.(v) <- !acc
-            done
-          with e ->
-            sl.(c).a_err <-
-              Some { rnd; pos = sl_events.(c).Ibuf.len; err = e });
-      Pool.run pool ~tasks:nc (fun c ->
-          let lo = c * kact / nc and hi = (c + 1) * kact / nc in
-          try
-            for idx = lo to hi - 1 do
-              let v = active_buf.(idx) in
-              let (s, out) = proto.round g v states.(v) inbox.(v) in
-              inbox.(v) <- [];
-              states.(v) <- s;
-              sl.(c).a_tick <- sl.(c).a_tick + 1;
-              List.iter (send c rnd v) out
-            done
-          with
-          | Stop_shard -> ()
-          | e ->
-              sl.(c).a_err <-
-                Some { rnd; pos = sl_events.(c).Ibuf.len; err = e });
-      merge_slots nc;
-      commit_round ~nc ~active:kact
-    end
-    else begin
-      let round_base = !round in
-      Pool.run pool ~tasks:k (fun i -> shard_epoch i round_base e);
-      merge_epoch ()
-    end
+    incr round;
+    let rnd = !round in
+    let nc = min nslots kact in
+    Pool.run pool ~tasks:nc (fun c ->
+        let lo = c * kact / nc and hi = (c + 1) * kact / nc in
+        try
+          for idx = lo to hi - 1 do
+            let v = active_buf.(idx) in
+            has_mail.(v) <- false;
+            let acc = ref [] in
+            for d = xadj.(v + 1) - 1 downto xadj.(v) do
+              match box.(d) with
+              | [] -> ()
+              | msgs ->
+                  let u = srcs.(d) in
+                  List.iter (fun m -> acc := (u, m) :: !acc) msgs;
+                  box.(d) <- []
+            done;
+            inbox.(v) <- !acc
+          done
+        with e ->
+          sl.(c).a_err <- Some { rnd; pos = sl_events.(c).Ibuf.len; err = e });
+    Pool.run pool ~tasks:nc (fun c ->
+        let lo = c * kact / nc and hi = (c + 1) * kact / nc in
+        try
+          for idx = lo to hi - 1 do
+            let v = active_buf.(idx) in
+            let (s, out) = proto.round g v states.(v) inbox.(v) in
+            inbox.(v) <- [];
+            states.(v) <- s;
+            sl.(c).a_tick <- sl.(c).a_tick + 1;
+            List.iter (send c rnd v) out
+          done
+        with
+        | Stop_shard -> ()
+        | e ->
+            sl.(c).a_err <- Some { rnd; pos = sl_events.(c).Ibuf.len; err = e });
+    merge_slots nc;
+    commit_round ~nc ~active:kact
   done;
   if observing then flush_frames ();
   shutdown ();
-  (match metrics with Some m -> Metrics.add_rounds m !round | None -> ());
-  let verdict =
-    match (Observe.bounds observe, metrics) with
-    | Some b, Some m ->
-        Some
-          (Bounds.check ?c_rounds:b.Observe.c_rounds ?c_bits:b.Observe.c_bits
-             ~bandwidth ~n ~d:b.Observe.d m)
-    | _ -> None
-  in
-  {
-    states;
-    rounds = !round;
-    report =
-      {
-        messages = !total_msgs;
-        bits = !total_bits;
-        max_message_bits = !max_msg_bits;
-        max_round_edge_bits = !max_burst;
-        active_peak = !active_peak;
-        verdict;
-      };
-  }
+  finish observe ~metrics ~bandwidth ~n ~rounds:!round states
+    {
+      messages = !total_msgs;
+      bits = !total_bits;
+      max_message_bits = !max_msg_bits;
+      max_round_edge_bits = !max_burst;
+      active_peak = !active_peak;
+      verdict = None;
+    }
 
-(* The sharded fault-aware clocked engine: the clocked loop of
-   [exec_faulty] with the compute phase parallelized over [k] contiguous
-   node shards. Each shard steps its own nodes against shard-owned
-   state/inbox cells and stages its sends as (sender, recipient, msg)
-   triples; a {e serial} network phase then walks the staged sends in
-   ascending shard order — which is ascending node order, the sequential
-   engine's visit order — doing everything order-sensitive in one
-   thread: metrics, trace, bandwidth accounting, fault fates, delivery
-   scheduling and the plan's stats.
+(* The fault-aware clocked engine. [exec] dispatches here whenever a
+   fault plan is installed, at any domain count, so this loop favors
+   clarity over allocation discipline: deliveries live in a
+   round-indexed pending table (messages can be delayed across rounds),
+   and every live node takes a step every round — the clock that
+   timeout-driven recovery layers ({!Reliable}) need in order to
+   retransmit. The semantics of each fault kind are specified in
+   DESIGN.md §9.
+
+   The compute phase runs over [k] contiguous node shards (one shard,
+   run inline by a 1-party pool, at [domains = 1]). Each shard steps
+   its own nodes against shard-owned state/inbox cells and stages its
+   sends as (sender, recipient, msg) triples; a {e serial} network
+   phase then walks the staged sends in ascending shard order — which
+   is ascending node order whatever [k] is — doing everything
+   order-sensitive in one thread: metrics, trace, bandwidth accounting,
+   fault fates, delivery scheduling and the plan's stats.
 
    Fault decisions come from keyed {!Fault.substream}s — per-message
-   fates from [(sender's shard, send round, target dart)], adversarial
-   inbox permutes from [(recipient's shard, delivery round, nd + v)] —
-   so the run is a pure function of (seed, domains, spec, protocol,
-   graph): deterministic at every domain count, but {e stream-distinct}
-   from the [domains = 1] engine, which consumes one stream in visit
-   order. All messages of one dart in one round draw from one substream
-   (a per-dart table in the serial phase), keeping their fates
-   independent draws rather than replays of the same position.
+   fates from [(send round, target dart)], adversarial inbox permutes
+   from [(delivery round, nd + v)] — none of which names a shard, so
+   the run is a pure function of (seed, spec, protocol, graph): the
+   same at every domain count. All messages of one dart in one round
+   draw from one substream (a per-dart table in the serial phase),
+   keeping their fates independent draws rather than replays of the
+   same position.
 
    Error faithfulness: a compute error in shard i suppresses the
    network phase for shards > i and for the erring shard's unstaged
    tail, so the error surfaces exactly after the sends a sequential
    sweep would have processed first; bandwidth violations raise from
-   the serial phase mid-walk, as the sequential engine does. *)
-let exec_faulty_par ~plan ~domains ?bandwidth ?max_rounds
+   the serial phase mid-walk. *)
+let exec_clocked ~plan ~domains ?bandwidth ?max_rounds
     ?(observe = Observe.none) g proto =
   let n = Gr.n g in
   let k = domains in
-  let bandwidth =
-    match bandwidth with Some b -> b | None -> default_bandwidth g
+  let { bandwidth; max_rounds; trace; metrics; base } =
+    setup ?bandwidth ?max_rounds observe g
   in
-  let max_rounds = match max_rounds with Some r -> r | None -> (16 * n) + 64 in
-  let trace = Observe.trace observe in
-  let metrics =
-    match (Observe.metrics observe, Observe.bounds observe) with
-    | None, Some _ -> Some (Metrics.create g)
-    | m, _ -> m
-  in
-  let base = match metrics with Some m -> Metrics.rounds m | None -> 0 in
   let xadj = Gr.dart_offsets g in
   let srcs = Gr.dart_sources g in
   let dedge = Gr.dart_edges g in
@@ -1542,12 +961,6 @@ let exec_faulty_par ~plan ~domains ?bandwidth ?max_rounds
     done
   done;
   let shard_lo = Array.init (k + 1) (fun i -> i * n / k) in
-  let sid = Array.make (max 1 n) 0 in
-  for i = 0 to k - 1 do
-    for v = shard_lo.(i) to shard_lo.(i + 1) - 1 do
-      sid.(v) <- i
-    done
-  done;
   let round = ref 0 in
   let msgs_round = ref 0 in
   let bits_round = ref 0 in
@@ -1567,10 +980,10 @@ let exec_faulty_par ~plan ~domains ?bandwidth ?max_rounds
   let seq = ref 0 in
   (* Per-shard staged sends of the current phase: (u, v) int pairs plus
      the message payloads, in the shard's node order. [sh_err] holds the
-     shard's first compute error as (node, exn). *)
+     shard's first compute error. *)
   let ob_uv = Array.init k (fun _ -> Ibuf.make 64) in
   let ob_m : 'm Mbuf.t array = Array.init k (fun _ -> Mbuf.make ()) in
-  let sh_err : (int * exn) option array = Array.make k None in
+  let sh_err : exn option array = Array.make k None in
   let pool = Pool.create ~domains:k () in
   let shutdown () = Pool.shutdown pool in
   let fail_with e =
@@ -1603,10 +1016,10 @@ let exec_faulty_par ~plan ~domains ?bandwidth ?max_rounds
      message's fate from the dart's keyed substream. A shard's compute
      error re-raises after its staged prefix — and before any higher
      shard's sends, which a sequential sweep would never have reached. *)
+  let subs : (int, Fault.sub) Hashtbl.t = Hashtbl.create 16 in
   let apply_sends r =
-    let subs : (int, Fault.sub) Hashtbl.t = Hashtbl.create 16 in
+    Hashtbl.reset subs;
     for i = 0 to k - 1 do
-      Hashtbl.reset subs;
       let uv = ob_uv.(i) in
       let mb = ob_m.(i) in
       for j = 0 to (uv.Ibuf.len / 2) - 1 do
@@ -1619,7 +1032,7 @@ let exec_faulty_par ~plan ~domains ?bandwidth ?max_rounds
             fail_with
               (Invalid_argument
                  (Printf.sprintf
-                    "Network.run: node %d sent to non-neighbor %d" u v));
+                    "Network.exec: node %d sent to non-neighbor %d" u v));
           rev.(s)
         in
         let bits = proto.msg_bits msg in
@@ -1643,7 +1056,7 @@ let exec_faulty_par ~plan ~domains ?bandwidth ?max_rounds
           match Hashtbl.find_opt subs d with
           | Some sub -> sub
           | None ->
-              let sub = Fault.substream plan ~shard:i ~round:r ~slot:d in
+              let sub = Fault.substream plan ~round:r ~slot:d in
               Hashtbl.add subs d sub;
               sub
         in
@@ -1656,7 +1069,7 @@ let exec_faulty_par ~plan ~domains ?bandwidth ?max_rounds
       done;
       Ibuf.clear uv;
       Mbuf.clear mb;
-      match sh_err.(i) with Some (_, e) -> fail_with e | None -> ()
+      match sh_err.(i) with Some e -> fail_with e | None -> ()
     done
   in
   let commit_round ~active =
@@ -1690,33 +1103,36 @@ let exec_faulty_par ~plan ~domains ?bandwidth ?max_rounds
         | `Restart -> on_fault "restart" ~src:node ~dst:(-1))
       (Fault.transitions plan ~round:r)
   in
+  (* Round 0: crashes scheduled at round 0 apply first; a node that is
+     down at round 0 still computes its initial state (the engine needs
+     one) but takes no step — its spontaneous sends are suppressed.
+     Shards init their own nodes into shard-local state slices, staging
+     the sends of live nodes; the slices join once every init ran. *)
   apply_transitions 0;
-  (* One extra (discarded) init of node 0 seeds the array (protocols are
-     pure); shards then init their own nodes in parallel, staging the
-     spontaneous sends of live nodes. *)
-  let states = Array.make n (fst (proto.init g 0)) in
-  let inbox : (int * 'm) list array = Array.make (max 1 n) [] in
+  let parts = Array.make k [||] in
   Pool.run pool ~tasks:k (fun i ->
+      let lo = shard_lo.(i) in
       try
-        for v = shard_lo.(i) to shard_lo.(i + 1) - 1 do
-          let (s, out) = proto.init g v in
-          states.(v) <- s;
-          if not (Fault.down plan ~node:v ~round:0) then
-            List.iter
-              (fun (w, msg) ->
-                Ibuf.push ob_uv.(i) v;
-                Ibuf.push ob_uv.(i) w;
-                Mbuf.push ob_m.(i) msg)
-              out
-        done
-      with e ->
-        (* proto.init is all that can raise here; record the node. *)
-        (match sh_err.(i) with
-        | None -> sh_err.(i) <- Some (shard_lo.(i), e)
-        | Some _ -> ()));
+        parts.(i) <-
+          Array.init (shard_lo.(i + 1) - lo) (fun j ->
+              let v = lo + j in
+              let (s, out) = proto.init g v in
+              if not (Fault.down plan ~node:v ~round:0) then
+                List.iter
+                  (fun (w, msg) ->
+                    Ibuf.push ob_uv.(i) v;
+                    Ibuf.push ob_uv.(i) w;
+                    Mbuf.push ob_m.(i) msg)
+                  out;
+              s)
+      with e -> sh_err.(i) <- Some e);
   apply_sends 0;
+  let states = Array.concat (Array.to_list parts) in
+  let inbox : (int * 'm) list array = Array.make (max 1 n) [] in
   if !msgs_round > 0 then commit_round ~active:n;
   reset_loads ();
+  (* Landed copies of the round being delivered: per-recipient reverse
+     lists of (src, key, seq, msg). *)
   let landed : (int * int * int * 'm) list array = Array.make (max 1 n) [] in
   let idle = ref 0 in
   let grace = Fault.grace plan in
@@ -1730,6 +1146,11 @@ let exec_faulty_par ~plan ~domains ?bandwidth ?max_rounds
     Hashtbl.length seen
   in
   if !msgs_round = 0 && !in_flight = 0 then idle := grace;
+  (* The clocked loop: runs until [grace] consecutive rounds saw no send
+     and nothing in flight, and the crash schedule's horizon has passed
+     (a restart scheduled after a lull must still execute). A run whose
+     init sent nothing, under a plan that schedules nothing, is over
+     immediately — as in the clean engine. *)
   while not (!idle >= grace && !round >= horizon) do
     if !round >= max_rounds then
       fail_with
@@ -1742,6 +1163,10 @@ let exec_faulty_par ~plan ~domains ?bandwidth ?max_rounds
     incr round;
     let r = !round in
     apply_transitions r;
+    (* Deliver: due copies land in their recipients' inboxes — unless
+       the recipient is down, in which case the network discards them
+       and keeps the score (a retransmission from the reliable layer,
+       not the engine, is what carries data past an outage). *)
     let due = try List.rev (Hashtbl.find pending r) with Not_found -> [] in
     Hashtbl.remove pending r;
     List.iter
@@ -1753,9 +1178,11 @@ let exec_faulty_par ~plan ~domains ?bandwidth ?max_rounds
         end
         else landed.(dst) <- (src, key, sq, msg) :: landed.(dst))
       due;
-    (* Sort each hit inbox by (sender, key, seq); adversarial mode then
-       shuffles it from the recipient's keyed substream ([nd + v] cannot
-       collide with a fate key, which is a dart slot). *)
+    (* Sort each hit inbox by (sender, key, seq): with no reordered
+       copies this is exactly the documented guarantee — ascending
+       sender, per-sender send order. Adversarial mode then shuffles it
+       from the recipient's keyed substream ([nd + v] cannot collide
+       with a fate key, which is a dart slot). *)
     let active = ref 0 in
     for v = 0 to n - 1 do
       match landed.(v) with
@@ -1769,16 +1196,17 @@ let exec_faulty_par ~plan ~domains ?bandwidth ?max_rounds
               compare (s1, k1, q1) (s2, k2, q2))
             a;
           if (Fault.spec plan).Fault.adversarial then
-            Fault.sub_permute
-              (Fault.substream plan ~shard:sid.(v) ~round:r ~slot:(nd + v))
-              a;
+            Fault.sub_permute (Fault.substream plan ~round:r ~slot:(nd + v)) a;
           inbox.(v) <-
             Array.fold_right (fun (src, _, _, m) acc -> (src, m) :: acc) a []
     done;
     msgs_round := 0;
     bits_round := 0;
-    (* Compute: every live node steps. Shards own disjoint state/inbox
-       ranges; sends are staged, so no shard writes outside its range. *)
+    (* Compute: every live node steps, with an empty inbox if nothing
+       arrived — the clock a recovery layer's retransmission timers run
+       on. [active] keeps its metrics meaning: nodes that had mail.
+       Shards own disjoint state/inbox ranges; sends are staged, so no
+       shard writes outside its range. *)
     Pool.run pool ~tasks:k (fun i ->
         let v = ref shard_lo.(i) in
         let hi = shard_lo.(i + 1) in
@@ -1799,175 +1227,37 @@ let exec_faulty_par ~plan ~domains ?bandwidth ?max_rounds
              else inbox.(u) <- [];
              incr v
            done
-         with e ->
-           match sh_err.(i) with
-           | None -> sh_err.(i) <- Some (!v, e)
-           | Some _ -> ()));
+         with e -> sh_err.(i) <- Some e));
     apply_sends r;
     commit_round ~active:!active;
     reset_loads ();
     idle := if !msgs_round = 0 && !in_flight = 0 then !idle + 1 else 0
   done;
   shutdown ();
-  (match metrics with Some m -> Metrics.add_rounds m !round | None -> ());
-  let verdict =
-    match (Observe.bounds observe, metrics) with
-    | Some b, Some m ->
-        Some
-          (Bounds.check ?c_rounds:b.Observe.c_rounds ?c_bits:b.Observe.c_bits
-             ~bandwidth ~n ~d:b.Observe.d m)
-    | _ -> None
-  in
-  {
-    states;
-    rounds = !round;
-    report =
-      {
-        messages = !total_msgs;
-        bits = !total_bits;
-        max_message_bits = !max_msg_bits;
-        max_round_edge_bits = !max_burst;
-        active_peak = !active_peak;
-        verdict;
-      };
-  }
+  finish observe ~metrics ~bandwidth ~n ~rounds:!round states
+    {
+      messages = !total_msgs;
+      bits = !total_bits;
+      max_message_bits = !max_msg_bits;
+      max_round_edge_bits = !max_burst;
+      active_peak = !active_peak;
+      verdict = None;
+    }
 
-(* One entry point, four engines: the clean flat-array loop whenever no
-   fault plan is installed and one domain suffices — kept bit-identical
-   to the pre-fault engine and allocation-free per round — the
-   epoch-batched work-stealing loop when [domains > 1] (bit-identical to
-   the clean loop by construction), the sequential clocked fault-aware
-   loop when a plan is installed, and the sharded clocked loop when a
-   plan and [domains > 1] compose. The sharded clocked run is
-   deterministic per (seed, domains) but stream-distinct from
-   [domains = 1]: fault decisions come from keyed substreams instead of
-   the sequential engine's single visit-order stream. [epoch]/[steal]
-   only shape the fault-free parallel engine's schedule — elsewhere
-   they are ignored. *)
+(* One entry point, three engines: the clean flat-array loop whenever no
+   fault plan is installed and one domain suffices — allocation-free per
+   round — the sharded work-stealing loop when [domains > 1]
+   (bit-identical to the clean loop by construction), and the clocked
+   fault-aware loop whenever a plan is installed, sharded over
+   [domains] and the same at every domain count. *)
 let exec ?(config = Config.default) g proto =
-  let { Config.domains; epoch; steal; bandwidth; max_rounds; observe; faults } =
-    config
-  in
+  let { Config.domains; bandwidth; max_rounds; observe; faults } = config in
   if domains < 1 then invalid_arg "Network.exec: domains must be at least 1";
-  if epoch < 1 then invalid_arg "Network.exec: epoch must be at least 1";
-  if steal < 1 then invalid_arg "Network.exec: steal must be at least 1";
   match faults with
   | Some plan ->
       let k = min domains (max 1 (Gr.n g)) in
-      if k <= 1 then exec_faulty ~plan ?bandwidth ?max_rounds ~observe g proto
-      else
-        exec_faulty_par ~plan ~domains:k ?bandwidth ?max_rounds ~observe g
-          proto
+      exec_clocked ~plan ~domains:k ?bandwidth ?max_rounds ~observe g proto
   | None ->
       let k = min domains (Gr.n g) in
       if k <= 1 then exec_clean ?bandwidth ?max_rounds ~observe g proto
-      else
-        exec_parallel ~domains:k ~epoch ~steal ?bandwidth ?max_rounds ~observe
-          g proto
-
-(* The pre-redesign labelled signature, now a thin shim over [Config]:
-   call sites that have not migrated keep compiling with one rename. *)
-let exec_opts ?(domains = 1) ?bandwidth ?max_rounds ?(observe = Observe.none)
-    ?faults g proto =
-  exec
-    ~config:
-      {
-        Config.default with
-        domains;
-        bandwidth;
-        max_rounds;
-        observe;
-        faults;
-      }
-    g proto
-
-(* The pre-redesign engine, kept verbatim as the deprecated shim: the
-   differential tests run it side by side with [exec] to pin the new
-   engine to the old semantics bit for bit. *)
-let run ?bandwidth ?max_rounds ?metrics ?trace g proto =
-  let n = Gr.n g in
-  let bandwidth = match bandwidth with Some b -> b | None -> default_bandwidth g in
-  let max_rounds = match max_rounds with Some r -> r | None -> (16 * n) + 64 in
-  let base = match metrics with Some m -> Metrics.rounds m | None -> 0 in
-  let inits = Array.init n (fun v -> proto.init g v) in
-  let states = Array.map fst inits in
-  let outboxes = Array.map snd inits in
-  let record_message round u v msg =
-    if not (Gr.mem_edge g u v) then
-      invalid_arg
-        (Printf.sprintf "Network.run: node %d sent to non-neighbor %d" u v);
-    let bits = proto.msg_bits msg in
-    (match metrics with
-    | Some m -> Metrics.add_message m ~u ~v ~bits
-    | None -> ());
-    (match trace with
-    | Some tr -> Trace.on_message tr ~round:(base + round) ~src:u ~dst:v ~bits
-    | None -> ());
-    bits
-  in
-  let commit_round round ~active outs =
-    let per_edge = Hashtbl.create 64 in
-    let msgs = ref 0 and bits_total = ref 0 in
-    Array.iteri
-      (fun u out ->
-        List.iter
-          (fun (v, msg) ->
-            let bits = record_message round u v msg in
-            incr msgs;
-            bits_total := !bits_total + bits;
-            let key = (u, v) in
-            let sofar = try Hashtbl.find per_edge key with Not_found -> 0 in
-            let now = sofar + bits in
-            if now > bandwidth then
-              raise (Bandwidth_exceeded { round; u; v; bits = now });
-            Hashtbl.replace per_edge key now)
-          out)
-      outs;
-    (match metrics with
-    | Some m ->
-        Hashtbl.iter
-          (fun (u, v) load -> Metrics.note_round_edge m ~u ~v ~bits:load)
-          per_edge;
-        Metrics.record_round m ~round:(base + round) ~active ~messages:!msgs
-          ~bits:!bits_total
-    | None -> ());
-    match trace with
-    | Some tr ->
-        Trace.on_round tr ~round:(base + round) ~active ~messages:!msgs
-          ~bits:!bits_total
-    | None -> ()
-  in
-  let round = ref 0 in
-  let some_sent = ref (Array.exists (fun out -> out <> []) outboxes) in
-  if !some_sent then commit_round 0 ~active:n outboxes;
-  while !some_sent do
-    if !round >= max_rounds then
-      failwith "Network.run: no quiescence before max_rounds";
-    incr round;
-    let inboxes = Array.make n [] in
-    Array.iteri
-      (fun u out ->
-        List.iter (fun (v, msg) -> inboxes.(v) <- (u, msg) :: inboxes.(v)) out)
-      outboxes;
-    for v = 0 to n - 1 do
-      outboxes.(v) <- [];
-      if inboxes.(v) <> [] then
-        inboxes.(v) <-
-          List.stable_sort
-            (fun (a, _) (b, _) -> compare a b)
-            (List.rev inboxes.(v))
-    done;
-    let active = ref 0 in
-    for v = 0 to n - 1 do
-      if inboxes.(v) <> [] then begin
-        incr active;
-        let (s, out) = proto.round g v states.(v) inboxes.(v) in
-        states.(v) <- s;
-        outboxes.(v) <- out
-      end
-    done;
-    some_sent := Array.exists (fun out -> out <> []) outboxes;
-    commit_round !round ~active:!active outboxes
-  done;
-  (match metrics with Some m -> Metrics.add_rounds m !round | None -> ());
-  states
+      else exec_parallel ~domains:k ?bandwidth ?max_rounds ~observe g proto

@@ -17,10 +17,10 @@
     tables ({!Gr.dart_offsets}) whose round loop allocates nothing beyond
     the message lists the protocol interface requires, and whose per-round
     cost is [O(active + messages)] rather than [O(n)]. Every knob — domain
-    count, epoch width, bandwidth, observation sinks, fault plan — travels
-    in one {!Config.t} value. The pre-redesign {!run} remains as a
-    deprecated shim; its sole remaining purpose is to serve as the
-    {e differential oracle} in [test/test_engine_diff.ml]. *)
+    count, bandwidth, observation sinks, fault plan — travels in one
+    {!Config.t} value. The pre-redesign hashtable engine lives on only in
+    the test suite, as the {e differential oracle} of
+    [test/test_engine_diff.ml]. *)
 
 type ('s, 'm) protocol = {
   init : Gr.t -> int -> 's * (int * 'm) list;
@@ -83,30 +83,20 @@ type 's run_result = { states : 's array; rounds : int; report : report }
 module Config : sig
   type t = {
     domains : int;  (** domains executing the round loop (default 1). *)
-    epoch : int;
-        (** maximum rounds a shard may advance between barriers when the
-            active set is provably shard-internal (default 8); [1]
-            disables epoch batching. Ignored at [domains = 1]. *)
-    steal : int;
-        (** work-stealing granularity: width-1 rounds split the active
-            list into up to [domains * steal] chunks claimed dynamically
-            (default 4). Ignored at [domains = 1]. *)
     bandwidth : int option;  (** per-edge bits per round; default
             {!default_bandwidth}. *)
     max_rounds : int option;  (** livelock guard; default [16n + 64]. *)
     observe : Observe.t;  (** observation sinks (default {!Observe.none}). *)
     faults : Fault.plan option;
-        (** fault plan; composes with any [domains] — see {!exec} for
-            the per-domain-count determinism contract. *)
+        (** fault plan; composes with any [domains], and the faulted run
+            is the same at every domain count — see {!exec}. *)
   }
 
   val default : t
-  (** Sequential, unobserved, fault-free: [domains = 1], [epoch = 8],
-      [steal = 4], default bandwidth and round guard. *)
+  (** Sequential, unobserved, fault-free: [domains = 1], default
+      bandwidth and round guard. *)
 
   val with_domains : int -> t -> t
-  val with_epoch : int -> t -> t
-  val with_steal : int -> t -> t
   val with_bandwidth : int -> t -> t
   val with_max_rounds : int -> t -> t
   val with_observe : Observe.t -> t -> t
@@ -118,12 +108,9 @@ module Config : sig
     ?max_rounds:int ->
     ?observe:Observe.t ->
     ?faults:Fault.plan ->
-    ?epoch:int ->
-    ?steal:int ->
     unit ->
     t
-  (** Labelled constructor, for call sites migrating from the old
-      optional-argument style: unspecified fields are {!default}'s. *)
+  (** Labelled constructor: unspecified fields are {!default}'s. *)
 end
 
 val exec : ?config:Config.t -> Gr.t -> ('s, 'm) protocol -> 's run_result
@@ -136,99 +123,45 @@ val exec : ?config:Config.t -> Gr.t -> ('s, 'm) protocol -> 's run_result
     at entry.
 
     With no fault plan installed (the default) and one domain, the run
-    executes on the clean flat-array loop — bit-identical to the
-    pre-fault engine, allocation-free per round, delivery order exactly
-    as documented on {!type:protocol}. Installing a {!Fault.plan}
-    switches the run to the fault-aware {e clocked} loop: messages are
-    dropped, duplicated, reordered or delayed and nodes crash and
-    restart as the plan dictates; every live node then takes a step
-    {e every} round (with an empty inbox when nothing arrived), which is
-    the clock timeout-driven recovery layers such as {!Reliable} run on,
-    and the run ends only after the plan's grace period of consecutive
-    quiet rounds. Fault events are counted into the metrics sink
+    executes on the clean flat-array loop — allocation-free per round,
+    delivery order exactly as documented on {!type:protocol}.
+
+    [domains > 1] runs the sharded work-stealing engine: the node range
+    splits into contiguous shards, and each round's {e active list} is
+    spread over a fixed number of dynamically-claimed chunks per domain.
+    The result — states, rounds, report, and the full metrics/trace
+    timelines — is {b bit-identical} to the sequential engine at every
+    domain count, including which error is raised and what the sinks
+    saw before it; the differential suite pins this across domain
+    counts. Observation is deferred: slots log events during the run
+    and one serial pass at run end rebuilds the exact sequential
+    metrics/trace timeline (an observed parallel run retains its event
+    log for the run's duration; unobserved runs log nothing). One
+    restriction comes with [domains > 1]: the protocol's [init] and
+    [round] closures must be pure up to their returned values (they run
+    concurrently for different nodes, and [init g 0] is called one
+    extra time to seed internal storage).
+
+    Installing a {!Fault.plan} switches the run to the fault-aware
+    {e clocked} loop, at any domain count: messages are dropped,
+    duplicated, reordered or delayed and nodes crash and restart as the
+    plan dictates; every live node then takes a step {e every} round
+    (with an empty inbox when nothing arrived), which is the clock
+    timeout-driven recovery layers such as {!Reliable} run on, and the
+    run ends only after the plan's grace period of consecutive quiet
+    rounds. Fault events are counted into the metrics sink
     ({!Metrics.faults}) and recorded on the trace timeline
-    ({!Trace.on_fault}). Same plan spec + same seed + same [domains] ⇒
-    identical run. DESIGN.md §9 specifies the fault model precisely.
-
-    [domains > 1] runs the epoch-batched work-stealing engine: the node
-    range splits into contiguous shards; width-1 rounds spread the
-    {e active list} over up to [domains * steal] dynamically-claimed
-    chunks, and when every active node is at least [e >= 2] hops from a
-    shard boundary the shards advance [e] rounds between barriers
-    (capped by [epoch]), merging deterministically afterwards. The
-    result — states, rounds, report, and the full metrics/trace
-    timelines — is {b bit-identical} to the sequential engine for every
-    (domains, epoch, steal), including which error is raised and what
-    the sinks saw before it; the differential suite pins this across
-    domain counts and epoch widths. Observation is deferred: slots log
-    events during the run and one serial pass at run end rebuilds the
-    exact sequential metrics/trace timeline (an observed parallel run
-    retains its event log for the run's duration; unobserved runs log
-    nothing). One restriction comes with [domains > 1]: the protocol's
-    [init] and [round] closures must be pure up to their returned
-    values (they run concurrently for different nodes, and [init g 0]
-    is called one extra time to seed internal storage).
-
-    A fault plan {e composes} with [domains > 1]: the run executes on
-    the sharded clocked engine — parallel compute over contiguous node
-    shards, one serial network phase per round for everything
-    order-sensitive — and every fault decision is drawn from a keyed
-    {!Fault.substream}, making the run a pure function of
-    (seed, domains, spec, protocol, graph). Runs are deterministic at
-    every domain count but {e seed-compatible, stream-distinct} across
-    domain counts: the same seed yields an equally valid, different
-    fault schedule at [domains = 1] (which consumes one stream in
-    engine-visit order) and at each [domains > 1]. Reproduce a faulted
-    run by fixing both the seed and the domain count. [epoch]/[steal]
-    are ignored on the clocked (and plain sequential) engines.
-    DESIGN.md §9, §10 and §13 specify the fault model, the parallel
-    engine and the epoch scheduler.
+    ({!Trace.on_fault}). The clocked loop computes over [domains]
+    contiguous node shards and runs one serial network phase per round
+    for everything order-sensitive; every fault decision is drawn from
+    a {!Fault.substream} keyed by round and global slot, never by
+    shard. A faulted run is therefore a pure function of
+    (seed, spec, protocol, graph) — states, rounds, report, fault
+    stats, metrics and trace are the same at every domain count.
+    DESIGN.md §9 and §10 specify the fault model and the parallel
+    engine.
     @raise Bandwidth_exceeded when a node over-sends on an edge.
     @raise No_quiescence if [max_rounds] elapse without quiescence — a
     livelock guard for buggy protocols.
     @raise Invalid_argument if a node addresses a non-neighbor, or if
-    [domains], [epoch] or [steal] is [< 1]. *)
-
-val exec_opts :
-  ?domains:int ->
-  ?bandwidth:int ->
-  ?max_rounds:int ->
-  ?observe:Observe.t ->
-  ?faults:Fault.plan ->
-  Gr.t ->
-  ('s, 'm) protocol ->
-  's run_result
-  [@@alert
-    legacy
-      "exec_opts is the pre-Config labelled signature; build a \
-       Network.Config.t and call Network.exec ~config instead."]
-(** The pre-{!Config} labelled signature, as a thin shim over {!exec}:
-    equivalent to [exec ~config:(Config.make ...ARGS... ())]. Kept so
-    historical call sites compile with a one-token rename; new code
-    should build a {!Config.t}. *)
-
-val run :
-  ?bandwidth:int ->
-  ?max_rounds:int ->
-  ?metrics:Metrics.t ->
-  ?trace:Trace.t ->
-  Gr.t ->
-  ('s, 'm) protocol ->
-  's array
-  [@@alert
-    legacy
-      "Network.run is the pre-redesign engine kept solely as the \
-       differential oracle for test_engine_diff; use Network.exec."]
-(** The pre-redesign entry point, semantics preserved exactly (including
-    its per-round hashtable implementation): returns bare final states,
-    takes separate [?metrics]/[?trace] sinks, and signals a livelock by
-    [Failure] rather than {!No_quiescence}.
-
-    {b This shim exists solely as the differential oracle}: the
-    engine-diff suite ([test/test_engine_diff.ml]) runs it side by side
-    with {!exec} to pin the flat-array and parallel engines to the
-    historical semantics bit for bit. It has no other callers, and new
-    code must not add any.
-    @raise Bandwidth_exceeded when a node over-sends on an edge.
-    @raise Failure if [max_rounds] (default [16 * n + 64]) elapse without
-    quiescence. *)
+    [domains < 1]. *)

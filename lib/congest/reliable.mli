@@ -94,10 +94,10 @@ val exec :
     {!Network.default_bandwidth}); the engine itself is given
     [3 * bandwidth + 128] bits so headers, acks and retransmissions fit
     — a constant factor, preserving the CONGEST [O(log n)] regime.
-    [domains] passes through to the engine: with a plan installed,
-    [domains > 1] runs the sharded clocked engine (deterministic per
-    [(seed, domains)], stream-distinct across domain counts — see
-    {!Network.exec}). The report (messages, bits, bursts) describes the
+    [domains] passes through to the engine: with a plan installed, the
+    clocked engine shards its compute over [domains] and the run is the
+    same at every domain count — a pure function of (seed, spec,
+    protocol, graph); see {!Network.exec}. The report (messages, bits, bursts) describes the
     wire, overhead included; the returned states are the inner ones.
     @raise Network.Bandwidth_exceeded, Network.No_quiescence,
     Invalid_argument as {!Network.exec}. *)

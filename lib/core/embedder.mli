@@ -61,9 +61,8 @@ val run :
     Every engine knob rides in [config] ({!Network.Config.t}, default
     {!Network.Config.default}) and is forwarded to the phase-1 protocol
     runs ({!Network.exec}'s sharded round loop): results and the whole
-    observation timeline are bit-identical for any [domains]/[epoch]
-    value. A config bandwidth of [None] resolves to
-    {!Network.default_bandwidth}.
+    observation timeline are bit-identical for any [domains] value. A
+    config bandwidth of [None] resolves to {!Network.default_bandwidth}.
 
     A fault plan in the config ({!Fault.plan}) subjects the run's real
     message-passing — the phase-1 leader election, BFS construction and
@@ -73,8 +72,8 @@ val run :
     orchestrated, not message-passing, and proceed unchanged. Rounds and
     fault events land on the same metrics/trace timeline as the clean
     run ([distplanar chaos] is the command-line front end; DESIGN.md §9
-    specifies the model). Incompatible with [domains > 1], as at the
-    engine level.
+    specifies the model). A faulted run composes with any [domains] and
+    is the same at every domain count, as at the engine level.
 
     Observation goes through the config's one [observe] sink: a metrics
     sink there becomes the run's accounting (and is returned in the

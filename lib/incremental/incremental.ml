@@ -55,7 +55,6 @@ type update = Fast | Linked | Reembedded of int | Rejected | Duplicate
 
 type t = {
   n : int;
-  kernel : Planarity.kernel;
   mutable cap : int;  (* edge slots allocated *)
   mutable dst : int array;  (* 2*cap: head of each dart; -1 = free slot *)
   mutable rnext : int array;  (* 2*cap: ring successor around the source *)
@@ -82,7 +81,6 @@ type t = {
 let n t = t.n
 let m t = t.live
 let stats t = t.stats
-let kernel t = t.kernel
 
 let fresh_stats () =
   {
@@ -189,7 +187,7 @@ let payload_merge a b =
   a.scoured <- a.scoured + b.scoured;
   a
 
-let of_rotation ?(kernel = Planarity.default_kernel) r =
+let of_rotation r =
   let g = Rotation.graph r in
   let n = Gr.n g in
   if not (Rotation.is_planar_embedding r) then
@@ -199,7 +197,6 @@ let of_rotation ?(kernel = Planarity.default_kernel) r =
   let t =
     {
       n;
-      kernel;
       cap;
       dst = Array.make (2 * cap) (-1);
       rnext = Array.make (2 * cap) (-1);
@@ -254,7 +251,7 @@ let of_rotation ?(kernel = Planarity.default_kernel) r =
   done;
   t
 
-let create ?kernel g = of_rotation ?kernel (Planarity.embed_exn ?kernel g)
+let create g = of_rotation (Planarity.embed_exn g)
 
 (* --- materialization --------------------------------------------------- *)
 
@@ -512,7 +509,7 @@ let reembed_scope t u v =
     roots;
   let gloc, old_of_local = build_local t !scope (Some (u, v)) in
   t.stats.kernel_edges <- t.stats.kernel_edges + Gr.m gloc;
-  match Planarity.embed ~kernel:t.kernel gloc with
+  match Planarity.embed gloc with
   | Planarity.Nonplanar ->
       t.stats.rejected <- t.stats.rejected + 1;
       Rejected

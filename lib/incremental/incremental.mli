@@ -46,11 +46,11 @@ type stats = {
   mutable face_steps : int;  (** darts visited by fast-path face walks *)
 }
 
-val create : ?kernel:Planarity.kernel -> Gr.t -> t
+val create : Gr.t -> t
 (** Embed [g] from scratch and start maintaining it.
     @raise Invalid_argument if [g] is not planar. *)
 
-val of_rotation : ?kernel:Planarity.kernel -> Rotation.t -> t
+val of_rotation : Rotation.t -> t
 (** Start from an existing embedding (kept verbatim).
     @raise Invalid_argument if it is not genus 0. *)
 
@@ -77,6 +77,5 @@ val rotation : t -> Rotation.t
 val validate : t -> bool
 (** Full Euler re-check of the maintained embedding (test hook). *)
 
-val kernel : t -> Planarity.kernel
 val stats : t -> stats
 val pp_stats : Format.formatter -> stats -> unit

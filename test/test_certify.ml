@@ -18,10 +18,11 @@
 let check = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
-let embed_exn ?kernel g =
-  match Planarity.embed ?kernel g with
+let planar_rotation = function
   | Planarity.Planar r -> r
   | Planarity.Nonplanar -> Alcotest.fail "family is planar but embed refused"
+
+let embed_exn g = planar_rotation (Planarity.embed g)
 
 (* ------------------------------------------------------------------ *)
 (* Families under test                                                 *)
@@ -538,14 +539,13 @@ let test_kernel_parity () =
   List.iter
     (fun (name, g) ->
       List.iter
-        (fun kernel ->
-          let r = embed_exn ~kernel g in
+        (fun (kernel, embed) ->
+          let r = planar_rotation (embed g) in
           let o = Certify.verify r (Certify.prove r) in
           check_bool
-            (Printf.sprintf "%s via %s certifies" name
-               (Planarity.kernel_name kernel))
+            (Printf.sprintf "%s via %s certifies" name kernel)
             true o.Certify.all_accept)
-        [ Planarity.LR; Planarity.DMP ])
+        [ ("lr", Planarity.embed); ("dmp", Dmp.embed) ])
     families
 
 (* ------------------------------------------------------------------ *)

@@ -1,17 +1,18 @@
 (* Differential test of the flat-array engine against the pre-redesign
    one.
 
-   Network.run keeps the historical per-round-hashtable implementation
-   precisely so this suite can execute both engines on the same protocol
-   and graph and demand bit-identical final states, round counts,
-   metrics (totals, bursts, per-directed-edge loads, the round log) and
-   trace journals (including individual message events) — across every
-   generator family, fixed and seeded, and across protocols that probe
-   the delivery-order guarantee and multi-message edges. A final group
-   checks the engines agree on errors too, and that the new round loop's
+   Legacy_network.run keeps the historical per-round-hashtable
+   implementation precisely so this suite can execute both engines on
+   the same protocol and graph and demand bit-identical final states,
+   round counts, metrics (totals, bursts, per-directed-edge loads, the
+   round log) and trace journals (including individual message events)
+   — across every generator family, fixed and seeded, and across
+   protocols that probe the delivery-order guarantee and multi-message
+   edges. The sharded engine is held to the sequential one at every
+   domain count of the sweep, and so is the faulted (clocked) engine:
+   a faulted run must not depend on the domain count. Further groups
+   check the engines agree on errors too, and that the round loop's
    allocation is independent of n. *)
-
-[@@@alert "-legacy"]
 
 let check = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -97,7 +98,9 @@ let certify_proto g =
 let run_legacy proto g =
   let m = Metrics.create g in
   let tr = Trace.create ~keep_messages:true () in
-  let states = Network.run ~bandwidth:4096 ~metrics:m ~trace:tr g proto in
+  let states =
+    Legacy_network.run ~bandwidth:4096 ~metrics:m ~trace:tr g proto
+  in
   (states, m, tr)
 
 let run_exec proto g =
@@ -117,40 +120,29 @@ let run_exec proto g =
   in
   (r, m, tr)
 
-let run_exec_sharded ~domains ~epoch proto g =
+let run_exec_sharded ~domains proto g =
   let m = Metrics.create g in
   let tr = Trace.create ~keep_messages:true () in
   let r =
     Network.exec
       ~config:
-        (Network.Config.make ~domains ~epoch ~bandwidth:4096
+        (Network.Config.make ~domains ~bandwidth:4096
            ~observe:(Observe.make ~metrics:m ~trace:tr ())
            ())
       g proto
   in
   (r, m, tr)
 
-(* (domains, epoch) grid for the sequential-vs-sharded sweep: the ISSUE's
-   {1,2,4} x {1,2,8} matrix, plus odd and more-shards-than-balance splits
-   at the widest epoch. epoch = 1 pins the chunked (per-round barrier)
-   scheduler, epoch > 1 the fused cross-round batching with its
-   boundary-dart flush. domains = 1 must hit the sequential engine (the
-   dispatcher's k <= 1 path) whatever the epoch. CI's multicore job adds
-   its own shard count via DOMAINS. *)
+(* Domain counts for the sequential-vs-sharded sweeps: even and odd
+   splits, and more shards than balance well. domains = 1 must hit the
+   sequential engine (the dispatcher's k <= 1 path). CI's multicore job
+   adds its own shard count via DOMAINS. *)
 let sweep_points =
-  let base =
-    [
-      (1, 1); (1, 2); (1, 8);
-      (2, 1); (2, 2); (2, 8);
-      (4, 1); (4, 2); (4, 8);
-      (3, 8); (7, 8);
-    ]
-  in
+  let base = [ 1; 2; 3; 4; 7 ] in
   match Sys.getenv_opt "DOMAINS" with
   | Some s -> (
       match int_of_string_opt s with
-      | Some k when k > 1 && not (List.mem_assoc k base) ->
-          base @ [ (k, 1); (k, 8) ]
+      | Some k when k > 1 && not (List.mem k base) -> base @ [ k ]
       | _ -> base)
   | None -> base
 
@@ -197,15 +189,14 @@ let diff_one name proto g =
     r_new.Network.report.Network.active_peak
 
 (* The sharded engine against the sequential one: same exec entry point,
-   a [~domains ~epoch] config versus the default — states, rounds,
-   report, the full metrics sink and the message-level trace journal must
-   all be bit-identical at every (domains, epoch) point. The same grid
-   point is exercised three ways, because the engine's deferred
-   observation takes different paths for each: fully observed (metrics +
-   message-keeping trace — per-slot event logs, frame log, run-end
-   merge), metrics-only (same deferred path, no trace emission), and
-   unobserved (the benchmark hot path: no event buffering at all, plain
-   counter folds). *)
+   a [~domains] config versus the default — states, rounds, report, the
+   full metrics sink and the message-level trace journal must all be
+   bit-identical at every domain count. The same point is exercised
+   three ways, because the engine's deferred observation takes different
+   paths for each: fully observed (metrics + message-keeping trace —
+   per-slot event logs, frame log, run-end merge), metrics-only (same
+   deferred path, no trace emission), and unobserved (the benchmark hot
+   path: no event buffering at all, plain counter folds). *)
 let diff_sharded name proto g =
   let (r_seq, m_seq, t_seq) = run_exec proto g in
   let bare config =
@@ -223,9 +214,9 @@ let diff_sharded name proto g =
   in
   let (r_mseq, m_mseq) = metrics_only Network.Config.default in
   List.iter
-    (fun (k, e) ->
-      let name = Printf.sprintf "%s[domains=%d,epoch=%d]" name k e in
-      let (r_k, m_k, t_k) = run_exec_sharded ~domains:k ~epoch:e proto g in
+    (fun k ->
+      let name = Printf.sprintf "%s[domains=%d]" name k in
+      let (r_k, m_k, t_k) = run_exec_sharded ~domains:k proto g in
       check_bool (name ^ ": states") true (r_seq.Network.states = r_k.Network.states);
       check (name ^ ": rounds") r_seq.Network.rounds r_k.Network.rounds;
       check_bool (name ^ ": report") true
@@ -233,7 +224,7 @@ let diff_sharded name proto g =
       metrics_equal name m_seq m_k;
       check_bool (name ^ ": trace events") true
         (Trace.events t_seq = Trace.events t_k);
-      let cfg = Network.Config.make ~domains:k ~epoch:e () in
+      let cfg = Network.Config.make ~domains:k () in
       let r_b = bare cfg in
       check_bool (name ^ ": unobserved states") true
         (r_bare.Network.states = r_b.Network.states);
@@ -304,6 +295,134 @@ let seeded_props =
   ]
 
 (* ------------------------------------------------------------------ *)
+(* Faulted runs across domain counts                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* Every fault kind at once: message loss, duplication, reordering,
+   delay, adversarial inbox permutation, and two crash/restart outages
+   (the second one on the last node, which sits in the last shard
+   under any split). *)
+let fault_mix g =
+  {
+    Fault.drop = 0.1;
+    duplicate = 0.05;
+    reorder = 0.1;
+    delay = 0.1;
+    max_delay = 3;
+    adversarial = true;
+    crashes =
+      [
+        { Fault.node = min 5 (Gr.n g - 1); at = 2; restart = Some 9 };
+        { Fault.node = Gr.n g - 1; at = 4; restart = Some 6 };
+      ];
+    grace = 8;
+  }
+
+let run_faulted ~domains ~seed proto g =
+  let plan = Fault.make ~spec:(fault_mix g) ~seed () in
+  let m = Metrics.create g in
+  let tr = Trace.create ~keep_messages:true () in
+  let r =
+    Network.exec
+      ~config:
+        (Network.Config.make ~domains ~bandwidth:4096 ~faults:plan
+           ~observe:(Observe.make ~metrics:m ~trace:tr ())
+           ())
+      g proto
+  in
+  (r, Fault.stats plan, m, tr)
+
+(* A faulted run is a pure function of (seed, spec, protocol, graph):
+   states, rounds, report, fault stats, the metrics timeline (fault
+   counts included) and the trace timeline (fault events included) at
+   every domain count of the sweep must equal the domains = 1 run. *)
+let diff_faulted name proto g =
+  let (r1, s1, m1, t1) = run_faulted ~domains:1 ~seed:42 proto g in
+  check_bool (name ^ ": faults fired") true (Metrics.faults m1 <> []);
+  List.iter
+    (fun k ->
+      let name = Printf.sprintf "%s[faulted,domains=%d]" name k in
+      let (r, st, m, tr) = run_faulted ~domains:k ~seed:42 proto g in
+      check_bool (name ^ ": states") true (r1.Network.states = r.Network.states);
+      check (name ^ ": rounds") r1.Network.rounds r.Network.rounds;
+      check_bool (name ^ ": report") true (r1.Network.report = r.Network.report);
+      check_bool (name ^ ": fault stats") true (s1 = st);
+      metrics_equal name m1 m;
+      check_bool (name ^ ": fault counts") true
+        (Metrics.faults m1 = Metrics.faults m);
+      check_bool (name ^ ": trace events") true
+        (Trace.events t1 = Trace.events tr))
+    (List.filter (fun k -> k > 1) sweep_points)
+
+let faulted_families =
+  [
+    ("path 2", Gen.path 2);
+    ("cycle 17", Gen.cycle 17);
+    ("petersen", Gen.petersen ());
+    ("grid 20x20", Gen.grid 20 20);
+    ("maximal planar 120", Gen.random_maximal_planar ~seed:3 120);
+  ]
+
+let test_faulted_domain_invariance () =
+  List.iter
+    (fun (name, g) ->
+      diff_faulted (name ^ "/flood") flood g;
+      diff_faulted (name ^ "/order-hash") (order_hash 5) g;
+      diff_faulted (name ^ "/double-talk") (double_talk 4) g;
+      diff_faulted (name ^ "/reliable-flood") (Reliable.wrap flood) g)
+    faulted_families
+
+(* Errors under faults: a node over-sends in a late round while faults
+   fire around it. The raised payload and everything the sinks saw
+   before the raise — messages and fault events alike — must not depend
+   on the domain count. *)
+let test_faulted_error_parity () =
+  let g = Gen.grid 6 6 in
+  let boom = 35 in
+  let proto =
+    {
+      Network.init = (fun g v -> (0, to_all g v v));
+      round =
+        (fun g v t _inbox ->
+          if v = boom && t = 3 then (t + 1, [ (boom - 1, 0); (boom - 1, 1) ])
+          else if t < 6 then (t + 1, to_all g v t)
+          else (t, []));
+      msg_bits = (fun _ -> 10);
+    }
+  in
+  let observed domains =
+    let plan =
+      Fault.make ~spec:{ (fault_mix g) with Fault.crashes = [] } ~seed:5 ()
+    in
+    let m = Metrics.create g in
+    let tr = Trace.create ~keep_messages:true () in
+    let p =
+      try
+        ignore
+          (Network.exec
+             ~config:
+               (Network.Config.make ~domains ~bandwidth:16 ~faults:plan
+                  ~observe:(Observe.make ~metrics:m ~trace:tr ())
+                  ())
+             g proto);
+        Alcotest.fail "expected Bandwidth_exceeded"
+      with Network.Bandwidth_exceeded { round; u; v; bits } -> (round, u, v, bits)
+    in
+    (p, Fault.stats plan, Metrics.messages m, Metrics.faults m, Trace.events tr)
+  in
+  let seq = observed 1 in
+  let ((rnd, u, _, _), _, _, _, _) = seq in
+  check "violation is mid-run" 4 rnd;
+  check "violation blames the over-sender" boom u;
+  List.iter
+    (fun k ->
+      check_bool
+        (Printf.sprintf "faulted payload and prefix [domains=%d]" k)
+        true
+        (observed k = seq))
+    (List.filter (fun k -> k > 1) sweep_points)
+
+(* ------------------------------------------------------------------ *)
 (* Error parity                                                        *)
 (* ------------------------------------------------------------------ *)
 
@@ -324,7 +443,9 @@ let test_bandwidth_parity () =
       Alcotest.fail "expected Bandwidth_exceeded"
     with Network.Bandwidth_exceeded { round; u; v; bits } -> (round, u, v, bits)
   in
-  let p_old = payload (fun () -> ignore (Network.run ~bandwidth:16 g proto)) in
+  let p_old =
+    payload (fun () -> ignore (Legacy_network.run ~bandwidth:16 g proto))
+  in
   let p_new =
     payload (fun () ->
         ignore
@@ -332,27 +453,25 @@ let test_bandwidth_parity () =
   in
   check_bool "identical Bandwidth_exceeded payloads" true (p_old = p_new);
   List.iter
-    (fun (k, e) ->
+    (fun k ->
       let p_shard =
         payload (fun () ->
             ignore
               (Network.exec
-                 ~config:
-                   (Network.Config.make ~domains:k ~epoch:e ~bandwidth:16 ())
+                 ~config:(Network.Config.make ~domains:k ~bandwidth:16 ())
                  g proto))
       in
       check_bool
-        (Printf.sprintf "sharded Bandwidth_exceeded payload [%d,%d]" k e)
+        (Printf.sprintf "sharded Bandwidth_exceeded payload [domains=%d]" k)
         true (p_old = p_shard))
-    [ (2, 1); (2, 8) ]
+    [ 2; 3 ]
 
-(* A violation deep inside a fused epoch: a token walks a long path, and
-   the node that receives it at hop [boom] over-sends against the budget.
-   With few frontier nodes and long shard interiors the epoch scheduler
-   runs many rounds between barriers, so the erring round sits mid-epoch;
-   the raised payload and the observation prefix must still match the
-   sequential run exactly — the merge may not replay past the error. *)
-let test_epoch_oversend_parity () =
+(* A violation deep inside a run: a token walks a long path, and the
+   node that receives it at hop [boom] over-sends against the budget.
+   The erring round sits well after many committed rounds; the raised
+   payload and the observation prefix must still match the sequential
+   run exactly — the run-end merge may not replay past the error. *)
+let test_deep_oversend_parity () =
   let n = 24 and boom = 10 in
   let g = Gen.path n in
   let proto =
@@ -386,12 +505,12 @@ let test_epoch_oversend_parity () =
   let (rnd, _, _, _) = p_seq in
   check "violation is mid-run" boom rnd;
   List.iter
-    (fun (k, e) ->
+    (fun k ->
       check_bool
-        (Printf.sprintf "mid-epoch payload and prefix [domains=%d,epoch=%d]" k e)
+        (Printf.sprintf "deep payload and prefix [domains=%d]" k)
         true
-        (observed (Network.Config.make ~domains:k ~epoch:e ~bandwidth:16 ()) = seq))
-    [ (2, 2); (2, 8); (3, 8); (4, 8) ]
+        (observed (Network.Config.make ~domains:k ~bandwidth:16 ()) = seq))
+    [ 2; 3; 4 ]
 
 let test_non_neighbor_parity () =
   let g = Gr.of_edges ~n:3 [ (0, 1); (1, 2) ] in
@@ -408,22 +527,20 @@ let test_non_neighbor_parity () =
       Alcotest.fail "expected Invalid_argument"
     with Invalid_argument m -> m
   in
-  let m_old = msg (fun () -> ignore (Network.run g proto)) in
+  let m_old = msg (fun () -> ignore (Legacy_network.run g proto)) in
   let m_new = msg (fun () -> ignore (Network.exec g proto)) in
   Alcotest.(check string) "identical Invalid_argument messages" m_old m_new;
   List.iter
-    (fun (k, e) ->
+    (fun k ->
       let m_shard =
         msg (fun () ->
             ignore
-              (Network.exec
-                 ~config:(Network.Config.make ~domains:k ~epoch:e ())
-                 g proto))
+              (Network.exec ~config:(Network.Config.make ~domains:k ()) g proto))
       in
       Alcotest.(check string)
-        (Printf.sprintf "sharded Invalid_argument message [%d,%d]" k e)
+        (Printf.sprintf "sharded Invalid_argument message [domains=%d]" k)
         m_old m_shard)
-    [ (2, 1); (2, 8) ]
+    [ 2; 3 ]
 
 (* A sharded run that dies must leave the same observation prefix the
    sequential engine leaves: everything the sinks saw before the raise,
@@ -443,14 +560,14 @@ let test_sharded_error_observation () =
       msg_bits = (fun _ -> 10);
     }
   in
-  let observed (domains, epoch) =
+  let observed domains =
     let m = Metrics.create g in
     let tr = Trace.create ~keep_messages:true () in
     (try
        ignore
          (Network.exec
             ~config:
-              (Network.Config.make ~domains ~epoch ~bandwidth:16
+              (Network.Config.make ~domains ~bandwidth:16
                  ~observe:(Observe.make ~metrics:m ~trace:tr ())
                  ())
             g proto);
@@ -458,15 +575,14 @@ let test_sharded_error_observation () =
      with Network.Bandwidth_exceeded _ -> ());
     (Metrics.messages m, Metrics.total_bits m, Trace.events tr)
   in
-  let seq = observed (1, 8) in
+  let seq = observed 1 in
   List.iter
-    (fun (k, e) ->
+    (fun k ->
       check_bool
-        (Printf.sprintf "error-path observation prefix [domains=%d,epoch=%d]" k
-           e)
+        (Printf.sprintf "error-path observation prefix [domains=%d]" k)
         true
-        (observed (k, e) = seq))
-    [ (2, 1); (2, 8); (3, 1); (3, 8) ]
+        (observed k = seq))
+    [ 2; 3 ]
 
 let test_domains_validation () =
   let g = Gen.path 4 in
@@ -477,55 +593,19 @@ let test_domains_validation () =
     with Invalid_argument _ -> ()
   in
   expect_invalid "domains=0" (Network.Config.make ~domains:0 ());
-  expect_invalid "epoch=0" (Network.Config.make ~epoch:0 ());
-  expect_invalid "steal=0" (Network.Config.make ~steal:0 ());
   expect_invalid "domains=-3" (Network.Config.default |> Network.Config.with_domains (-3));
-  (* A fault plan composes with a sharded run: the sharded clocked
-     engine accepts it and completes, at any epoch/steal setting (both
-     are inert on the clocked engines). *)
   let fresh () = Fault.make ~spec:{ Fault.default with drop = 0.1 } ~seed:7 () in
-  ignore
-    (Network.exec
-       ~config:(Network.Config.make ~domains:2 ~faults:(fresh ()) ())
-       g hello);
-  ignore
-    (Network.exec
-       ~config:(Network.Config.make ~domains:1 ~epoch:8 ~faults:(fresh ()) ())
-       g hello);
-  ignore
-    (Network.exec
-       ~config:(Network.Config.make ~domains:2 ~epoch:1 ~faults:(fresh ()) ())
-       g hello)
-
-(* The deprecated labelled entry point must stay a pure alias: same
-   states, rounds, report, and observations as a config-driven exec. *)
-let test_exec_opts_alias () =
+  expect_invalid "domains=0 with a fault plan"
+    (Network.Config.make ~domains:0 ~faults:(fresh ()) ());
+  (* A fault plan composes with any domain count, including more
+     domains than nodes. *)
   List.iter
-    (fun (name, g) ->
-      let m_a = Metrics.create g in
-      let tr_a = Trace.create ~keep_messages:true () in
-      let a =
-        Network.exec
-          ~config:
-            (Network.Config.make ~bandwidth:4096
-               ~observe:(Observe.make ~metrics:m_a ~trace:tr_a ())
-               ())
-          g flood
-      in
-      let m_b = Metrics.create g in
-      let tr_b = Trace.create ~keep_messages:true () in
-      let b =
-        Network.exec_opts ~bandwidth:4096
-          ~observe:(Observe.make ~metrics:m_b ~trace:tr_b ())
-          g flood
-      in
-      check_bool (name ^ ": states") true (a.Network.states = b.Network.states);
-      check (name ^ ": rounds") a.Network.rounds b.Network.rounds;
-      check_bool (name ^ ": report") true (a.Network.report = b.Network.report);
-      metrics_equal (name ^ " (exec_opts)") m_a m_b;
-      check_bool (name ^ ": trace events") true
-        (Trace.events tr_a = Trace.events tr_b))
-    [ ("grid 5x7", Gen.grid 5 7); ("petersen", Gen.petersen ()) ]
+    (fun domains ->
+      ignore
+        (Network.exec
+           ~config:(Network.Config.make ~domains ~faults:(fresh ()) ())
+           g hello))
+    [ 1; 2; 8 ]
 
 let test_livelock_contracts () =
   (* Same livelock, two documented signals: Failure from the shim,
@@ -539,7 +619,7 @@ let test_livelock_contracts () =
     }
   in
   (try
-     ignore (Network.run ~max_rounds:7 g proto);
+     ignore (Legacy_network.run ~max_rounds:7 g proto);
      Alcotest.fail "expected Failure"
    with Failure _ -> ());
   (try
@@ -550,22 +630,21 @@ let test_livelock_contracts () =
      check "round" 7 round;
      check "active" 2 active;
      check "messages" 2 messages);
-  (* The sharded epoch scheduler must surface the identical payload: the
-     livelock check fires at the same round with the same census even
-     when that round closes mid-epoch. *)
+  (* The sharded scheduler must surface the identical payload: the
+     livelock check fires at the same round with the same census. *)
   List.iter
-    (fun (k, e) ->
+    (fun k ->
       try
         ignore
           (Network.exec
-             ~config:(Network.Config.make ~domains:k ~epoch:e ~max_rounds:7 ())
+             ~config:(Network.Config.make ~domains:k ~max_rounds:7 ())
              g proto);
         Alcotest.fail "expected No_quiescence"
       with Network.No_quiescence { round; active; messages } ->
-        check (Printf.sprintf "round [%d,%d]" k e) 7 round;
-        check (Printf.sprintf "active [%d,%d]" k e) 2 active;
-        check (Printf.sprintf "messages [%d,%d]" k e) 2 messages)
-    [ (2, 1); (2, 8) ]
+        check (Printf.sprintf "round [domains=%d]" k) 7 round;
+        check (Printf.sprintf "active [domains=%d]" k) 2 active;
+        check (Printf.sprintf "messages [domains=%d]" k) 2 messages)
+    [ 2 ]
 
 (* ------------------------------------------------------------------ *)
 (* Allocation regression                                               *)
@@ -625,23 +704,16 @@ let test_quiescent_round_allocation () =
    round must not buffer events or frames (the deferred-observation
    machinery is for observed runs only), so its marginal allocation is
    the same small constant as the sequential engine's — not O(messages)
-   of event log, and certainly not O(n). Chunk mode (epoch 1) and the
-   fused scheduler (epoch 8) take different commit paths; both are
-   pinned. *)
+   of event log, and certainly not O(n). *)
 let test_parallel_round_allocation () =
   let n = 5_000 in
-  List.iter
-    (fun epoch ->
-      let config = Network.Config.make ~domains:2 ~epoch () in
-      let per_round = per_round_words config n in
-      check_bool
-        (Printf.sprintf
-           "unobserved parallel rounds allocate O(1) [epoch=%d]: %.1f \
-            words/round"
-           epoch per_round)
-        true
-        (per_round < 100.))
-    [ 1; 8 ]
+  let config = Network.Config.make ~domains:2 () in
+  let per_round = per_round_words config n in
+  check_bool
+    (Printf.sprintf "unobserved parallel rounds allocate O(1): %.1f words/round"
+       per_round)
+    true
+    (per_round < 100.)
 
 let () =
   let seeded = List.map QCheck_alcotest.to_alcotest seeded_props in
@@ -650,19 +722,24 @@ let () =
       ( "old vs new",
         [ Alcotest.test_case "fixed families" `Quick test_fixed_families ]
         @ seeded );
+      ( "faulted runs",
+        [
+          Alcotest.test_case "faulted runs are domain-invariant" `Quick
+            test_faulted_domain_invariance;
+          Alcotest.test_case "faulted error parity" `Quick
+            test_faulted_error_parity;
+        ] );
       ( "error parity",
         [
           Alcotest.test_case "bandwidth payloads" `Quick test_bandwidth_parity;
-          Alcotest.test_case "mid-epoch over-send payloads" `Quick
-            test_epoch_oversend_parity;
+          Alcotest.test_case "deep over-send payloads" `Quick
+            test_deep_oversend_parity;
           Alcotest.test_case "non-neighbor messages" `Quick
             test_non_neighbor_parity;
           Alcotest.test_case "livelock contracts" `Quick test_livelock_contracts;
           Alcotest.test_case "sharded error observation" `Quick
             test_sharded_error_observation;
           Alcotest.test_case "config validation" `Quick test_domains_validation;
-          Alcotest.test_case "exec_opts is a pure alias" `Quick
-            test_exec_opts_alias;
         ] );
       ( "allocation",
         [

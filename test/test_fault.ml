@@ -4,7 +4,9 @@
    embeddings over lossy links (ISSUE 3 acceptance criteria).
 
    The companion guarantees — that with no plan installed the engine is
-   bit-identical to the pre-fault one — live in test_engine_diff.ml. *)
+   bit-identical to the pre-fault one, and that a faulted run is
+   identical at every domain count of the differential sweep — live in
+   test_engine_diff.ml. *)
 
 let check = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -322,9 +324,9 @@ let test_embedder_determinism_under_faults () =
 (* ------------------------------------------------------------------ *)
 
 let test_sharded_same_seed_same_run () =
-  (* The PR 10 contract: a fault plan composes with [domains > 1] and
-     the run is a pure function of (seed, domains) — states, rounds,
-     fault stats, metrics and the trace timeline all replay exactly. *)
+  (* A fault plan composes with [domains > 1] and the run replays
+     exactly — states, rounds, fault stats, metrics and the trace
+     timeline. *)
   let g = Gen.grid 6 7 in
   let (r1, m1, t1, p1) =
     run_observed ~spec:lossy_spec ~domains:2 ~seed:42 g flood
@@ -342,16 +344,50 @@ let test_sharded_same_seed_same_run () =
     (Trace.events t1 = Trace.events t2);
   check_bool "round log" true (Metrics.round_log m1 = Metrics.round_log m2)
 
-let test_sharded_stream_distinct () =
-  (* Documented, deliberate: the sharded engine draws fates from keyed
-     substreams, so the same seed at a different domain count is a
-     different (equally deterministic) fault schedule. If these two runs
-     ever coincide, substream keying has silently collapsed. *)
+let test_domain_counts_share_stream () =
+  (* The fault schedule is a function of the seed alone: fates are drawn
+     from substreams keyed by round and global slot, never by shard, so
+     the same seed at a different domain count is the same run — same
+     states, rounds, report, fault stats and fault timeline. *)
   let g = Gen.grid 6 7 in
-  let (_, _, t1, p1) = run_observed ~spec:lossy_spec ~domains:1 ~seed:42 g flood in
-  let (_, _, t2, p2) = run_observed ~spec:lossy_spec ~domains:2 ~seed:42 g flood in
-  check_bool "same seed, different domains: distinct fault timeline" false
-    (Fault.stats p1 = Fault.stats p2 && Trace.events t1 = Trace.events t2)
+  let spec = { lossy_spec with Fault.adversarial = true } in
+  let (r1, m1, t1, p1) = run_observed ~spec ~domains:1 ~seed:42 g flood in
+  List.iter
+    (fun domains ->
+      let (r, m, t, p) = run_observed ~spec ~domains ~seed:42 g flood in
+      let at what = Printf.sprintf "domains=%d: %s" domains what in
+      check_bool (at "states") true (r1.Network.states = r.Network.states);
+      check (at "rounds") r1.Network.rounds r.Network.rounds;
+      check_bool (at "report") true (r1.Network.report = r.Network.report);
+      check_bool (at "fault stats") true (Fault.stats p1 = Fault.stats p);
+      check_bool (at "fault counts in metrics") true
+        (Metrics.faults m1 = Metrics.faults m);
+      check_bool (at "trace events (incl. fault timeline)") true
+        (Trace.events t1 = Trace.events t))
+    [ 2; 3; 4 ];
+  (* End to end: the reliable-wrapped embedder over lossy links takes
+     the same rounds, suffers the same faults and returns the same
+     rotation at every domain count. *)
+  let g = Gen.grid 12 12 in
+  let embed domains =
+    let plan = Fault.make ~spec:lossy_spec ~seed:31 () in
+    let o = Embedder.run ~config:(cfg ~faults:plan ~domains ()) g in
+    let rot =
+      Option.map
+        (fun r -> Array.init (Gr.n g) (fun v -> Rotation.rotation r v))
+        o.Embedder.rotation
+    in
+    (rot, o.Embedder.report.Embedder.rounds, Fault.stats plan)
+  in
+  let e1 = embed 1 in
+  List.iter
+    (fun domains ->
+      check_bool
+        (Printf.sprintf "embedder under faults, domains=%d = domains=1"
+           domains)
+        true
+        (embed domains = e1))
+    [ 2; 4 ]
 
 let test_sharded_crash_schedule () =
   (* Deterministic scheduled faults must land on the same rounds no
@@ -384,7 +420,7 @@ let test_sharded_crash_schedule () =
 let test_sharded_embedder_over_lossy_links () =
   (* The end-to-end bar at domains = 2: the reliable-wrapped embedder
      over lossy links still produces Euler-verified embeddings, and the
-     whole run replays for a fixed (seed, domains). *)
+     whole run replays for a fixed seed. *)
   List.iter
     (fun (name, g) ->
       let run () =
@@ -475,8 +511,8 @@ let () =
         [
           Alcotest.test_case "same seed + domains, same run" `Quick
             test_sharded_same_seed_same_run;
-          Alcotest.test_case "domain counts are stream-distinct" `Quick
-            test_sharded_stream_distinct;
+          Alcotest.test_case "faults identical across domains" `Quick
+            test_domain_counts_share_stream;
           Alcotest.test_case "crash schedule honored across shards" `Quick
             test_sharded_crash_schedule;
           Alcotest.test_case "embedder over lossy links, domains=2" `Quick
