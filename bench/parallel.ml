@@ -53,8 +53,8 @@ let wall f =
   let x = f () in
   (x, Unix.gettimeofday () -. t0)
 
-(* The sweep: scaling over domains. The first point is the sequential
-   baseline — at one domain the dispatcher takes the sequential engine. *)
+(* The sweep: scaling over domains. The first point is the one-domain
+   baseline — the same sharded loop, run inline by a one-party pool. *)
 let sweep_points = [ 1; 2; 4; 8 ]
 
 (* ------------------------------------------------------------------ *)

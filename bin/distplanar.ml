@@ -15,7 +15,7 @@
 
 open Cmdliner
 
-let make_graph family n rows cols seglen seed m chord_prob =
+let generate family n rows cols seglen seed m chord_prob =
   match family with
   | "path" -> Gen.path n
   | "cycle" -> Gen.cycle n
@@ -40,6 +40,14 @@ let make_graph family n rows cols seglen seed m chord_prob =
       Printf.eprintf "unknown family %S; try `distplanar families'\n" other;
       exit 2
 
+(* A size the generator still rejects (a maximal planar graph on two
+   vertices, say) is reported in one line, like an unknown family. *)
+let make_graph family n rows cols seglen seed m chord_prob =
+  try generate family n rows cols seglen seed m chord_prob
+  with Invalid_argument msg ->
+    Printf.eprintf "distplanar: %s\n" msg;
+    exit 2
+
 let family_doc =
   "Graph family: path, cycle, star, tree, binary-tree, grid, trigrid, \
    wheel, maxplanar, planar, outerplanar, k4subdiv, k4, k5, k33, petersen, \
@@ -48,10 +56,9 @@ let family_doc =
 let family_t =
   Arg.(value & opt string "maxplanar" & info [ "family"; "f" ] ~doc:family_doc)
 
-let n_t = Arg.(value & opt int 100 & info [ "n" ] ~doc:"Number of vertices.")
-
-(* Counts of domains, jobs and runs: a value below 1 is a usage error
-   (exit 124 with the usage line), not an exception from the library. *)
+(* Graph sizes and counts of domains, jobs and runs: a value below 1 is
+   a usage error (exit 124 with the usage line), not an exception from
+   the library. *)
 let pos_int =
   let parse s =
     match int_of_string_opt s with
@@ -60,11 +67,12 @@ let pos_int =
   in
   Arg.conv (parse, Format.pp_print_int)
 
-let rows_t = Arg.(value & opt int 8 & info [ "rows" ] ~doc:"Grid rows.")
-let cols_t = Arg.(value & opt int 8 & info [ "cols" ] ~doc:"Grid columns.")
+let n_t = Arg.(value & opt pos_int 100 & info [ "n" ] ~doc:"Number of vertices.")
+let rows_t = Arg.(value & opt pos_int 8 & info [ "rows" ] ~doc:"Grid rows.")
+let cols_t = Arg.(value & opt pos_int 8 & info [ "cols" ] ~doc:"Grid columns.")
 
 let seglen_t =
-  Arg.(value & opt int 16 & info [ "seglen" ] ~doc:"K4-subdivision segment length.")
+  Arg.(value & opt pos_int 16 & info [ "seglen" ] ~doc:"K4-subdivision segment length.")
 
 let seed_t = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Random seed.")
 

@@ -8,7 +8,7 @@
     plan in {!Network.exec} (the [faults] field of its
     {!Network.Config.t}) switches the engine to its fault-aware
     {e clocked} loop; with no plan installed the engine's behavior and
-    performance are exactly those of the clean flat-array loop. The
+    performance are exactly those of the clean sharded loop. The
     precise semantics of each fault kind are specified in DESIGN.md §9.
 
     {b Determinism.} Every random decision is drawn from a keyed

@@ -25,7 +25,7 @@ type 's run_result = { states : 's array; rounds : int; report : report }
 
 (* The run configuration: every engine knob in one value, so call sites
    thread one [Config.t] instead of re-threading five optional labels
-   per layer. [default] is sequential, unobserved, fault-free. *)
+   per layer. [default] is one domain, unobserved, fault-free. *)
 module Config = struct
   type t = {
     domains : int;
@@ -83,19 +83,86 @@ let setup ?bandwidth ?max_rounds observe g =
   let base = match metrics with Some m -> Metrics.rounds m | None -> 0 in
   { bandwidth; max_rounds; trace = Observe.trace observe; metrics; base }
 
-(* Close a run: fold its rounds into the metrics timeline and attach the
-   bounds verdict, if one was requested, to the engine's report. *)
-let finish observe ~metrics ~bandwidth ~n ~rounds states report =
-  (match metrics with Some m -> Metrics.add_rounds m rounds | None -> ());
+(* The books every round loop keeps: the round being computed, its
+   message and bit tallies, and the run totals and maxima the report is
+   built from. *)
+type tally = {
+  mutable t_round : int;
+  mutable t_msgs : int;  (* messages sent in round [t_round] *)
+  mutable t_bits : int;
+  mutable t_total_msgs : int;
+  mutable t_total_bits : int;
+  mutable t_max_msg : int;
+  mutable t_max_burst : int;
+  mutable t_active_peak : int;
+}
+
+let tally () =
+  { t_round = 0; t_msgs = 0; t_bits = 0; t_total_msgs = 0; t_total_bits = 0;
+    t_max_msg = 0; t_max_burst = 0; t_active_peak = 0 }
+
+let next_round t =
+  t.t_round <- t.t_round + 1;
+  t.t_msgs <- 0;
+  t.t_bits <- 0
+
+(* Fold the round just computed into the run totals. *)
+let commit t ~active =
+  if active > t.t_active_peak then t.t_active_peak <- active;
+  t.t_total_msgs <- t.t_total_msgs + t.t_msgs;
+  t.t_total_bits <- t.t_total_bits + t.t_bits
+
+let record_round su ~rnd ~active ~msgs ~bits =
+  (match su.metrics with
+  | Some m ->
+      Metrics.record_round m ~round:(su.base + rnd) ~active ~messages:msgs
+        ~bits
+  | None -> ());
+  match su.trace with
+  | Some tr ->
+      Trace.on_round tr ~round:(su.base + rnd) ~active ~messages:msgs ~bits
+  | None -> ()
+
+(* Emit one message event, on directed-edge slot [dir], to the sinks. *)
+let record_message su ~rnd ~dir ~src ~dst ~bits =
+  (match su.metrics with
+  | Some m -> Metrics.add_message_at m ~dir ~bits
+  | None -> ());
+  match su.trace with
+  | Some tr -> Trace.on_message tr ~round:(su.base + rnd) ~src ~dst ~bits
+  | None -> ()
+
+let non_neighbor u v =
+  Invalid_argument
+    (Printf.sprintf "Network.exec: node %d sent to non-neighbor %d" u v)
+
+(* Close a run: fold its rounds into the metrics timeline and build the
+   engine's report from the tally, with the bounds verdict attached if
+   one was requested. *)
+let finish observe su t states =
+  let rounds = t.t_round in
+  (match su.metrics with Some m -> Metrics.add_rounds m rounds | None -> ());
   let verdict =
-    match (Observe.bounds observe, metrics) with
+    match (Observe.bounds observe, su.metrics) with
     | Some b, Some m ->
         Some
           (Bounds.check ?c_rounds:b.Observe.c_rounds ?c_bits:b.Observe.c_bits
-             ~bandwidth ~n ~d:b.Observe.d m)
+             ~bandwidth:su.bandwidth ~n:(Array.length states) ~d:b.Observe.d m)
     | _ -> None
   in
-  { states; rounds; report = { report with verdict } }
+  {
+    states;
+    rounds;
+    report =
+      {
+        messages = t.t_total_msgs;
+        bits = t.t_total_bits;
+        max_message_bits = t.t_max_msg;
+        max_round_edge_bits = t.t_max_burst;
+        active_peak = t.t_active_peak;
+        verdict;
+      };
+  }
 
 (* In-place ascending heapsort of a.(0 .. k-1): the engine's worklists
    live in preallocated buffers, so the sort must not allocate. *)
@@ -137,178 +204,6 @@ let rec rank (a : int array) lo hi v =
     else if y < v then rank a (mid + 1) hi v
     else rank a lo (mid - 1) v
   end
-
-(* The flat-array engine. All per-round bookkeeping lives in arrays
-   preallocated at entry and reused across rounds:
-
-   - [box.(d)]      messages in flight on dart [d] (head = most recent);
-                    a dart id is its slot in the CSR adjacency, so the
-                    in-darts of a recipient are one contiguous range
-                    ordered by sender — draining that range back-to-front
-                    yields the documented delivery order with no sort;
-   - [load.(d)]     bits pushed through dart [d] this round (the CONGEST
-                    bandwidth budget is checked against it at send time);
-   - [staged]/[has_mail]  worklist of recipients with mail, so a round
-                    costs O(active slices + messages), never O(n).
-
-   The engine itself allocates nothing per round; the only per-message
-   allocations are the in-flight cons cells and the inbox lists handed
-   to the protocol (inherent to the protocol's list-based interface).
-
-   This is the zero-fault sequential path: [exec] dispatches here
-   whenever no fault plan is installed and one domain suffices, so the
-   loop below must stay bit-identical to the pre-redesign engine
-   (test_engine_diff.ml holds it to that). *)
-let exec_clean ?bandwidth ?max_rounds ?(observe = Observe.none) g proto =
-  let n = Gr.n g in
-  let { bandwidth; max_rounds; trace; metrics; base } =
-    setup ?bandwidth ?max_rounds observe g
-  in
-  let xadj = Gr.dart_offsets g in
-  let srcs = Gr.dart_sources g in
-  let dedge = Gr.dart_edges g in
-  let rev = Gr.dart_reversals g in
-  let nd = Array.length srcs in
-  let box : 'm list array = Array.make (max 1 nd) [] in
-  let load = Array.make (max 1 nd) 0 in
-  let has_mail = Array.make (max 1 n) false in
-  let staged = Array.make (max 1 n) 0 in
-  let n_staged = ref 0 in
-  let active_buf = Array.make (max 1 n) 0 in
-  let inbox : (int * 'm) list array = Array.make (max 1 n) [] in
-  let round = ref 0 in
-  let msgs_round = ref 0 in
-  let bits_round = ref 0 in
-  let total_msgs = ref 0 in
-  let total_bits = ref 0 in
-  let max_msg_bits = ref 0 in
-  let max_burst = ref 0 in
-  let active_peak = ref 0 in
-  let send u (v, msg) =
-    let d =
-      let s = rank srcs xadj.(u) (xadj.(u + 1) - 1) v in
-      if s < 0 then
-        invalid_arg
-          (Printf.sprintf "Network.exec: node %d sent to non-neighbor %d" u v);
-      rev.(s)
-    in
-    let bits = proto.msg_bits msg in
-    (match metrics with
-    | Some m ->
-        Metrics.add_message_at m
-          ~dir:((2 * dedge.(d)) + if u < v then 0 else 1)
-          ~bits
-    | None -> ());
-    (match trace with
-    | Some tr -> Trace.on_message tr ~round:(base + !round) ~src:u ~dst:v ~bits
-    | None -> ());
-    incr msgs_round;
-    bits_round := !bits_round + bits;
-    if bits > !max_msg_bits then max_msg_bits := bits;
-    (match box.(d) with
-    | [] ->
-        if not has_mail.(v) then begin
-          has_mail.(v) <- true;
-          staged.(!n_staged) <- v;
-          incr n_staged
-        end
-    | _ :: _ -> ());
-    box.(d) <- msg :: box.(d);
-    let now = load.(d) + bits in
-    load.(d) <- now;
-    if now > !max_burst then max_burst := now;
-    if now > bandwidth then
-      raise (Bandwidth_exceeded { round = !round; u; v; bits = now })
-  in
-  (* Close the books on the round just computed: per-dart burst maxima
-     (every loaded dart's head is a staged recipient, so scanning the
-     staged slices covers exactly the loaded darts), the round record,
-     and the engine's own flat counters. *)
-  let commit_round ~active =
-    (match metrics with
-    | Some m ->
-        for i = 0 to !n_staged - 1 do
-          let v = staged.(i) in
-          for d = xadj.(v) to xadj.(v + 1) - 1 do
-            if load.(d) > 0 then
-              Metrics.note_round_edge_at m
-                ~dir:((2 * dedge.(d)) + if srcs.(d) < v then 0 else 1)
-                ~bits:load.(d)
-          done
-        done;
-        Metrics.record_round m ~round:(base + !round) ~active
-          ~messages:!msgs_round ~bits:!bits_round
-    | None -> ());
-    (match trace with
-    | Some tr ->
-        Trace.on_round tr ~round:(base + !round) ~active ~messages:!msgs_round
-          ~bits:!bits_round
-    | None -> ());
-    if active > !active_peak then active_peak := active;
-    total_msgs := !total_msgs + !msgs_round;
-    total_bits := !total_bits + !bits_round
-  in
-  let states =
-    Array.init n (fun v ->
-        let (s, out) = proto.init g v in
-        List.iter (send v) out;
-        s)
-  in
-  (* Round 0's spontaneous sends are checked and counted too; every node
-     ran its init, so all n nodes are active. *)
-  if !msgs_round > 0 then commit_round ~active:n;
-  while !n_staged > 0 do
-    if !round >= max_rounds then
-      raise
-        (No_quiescence
-           { round = !round; active = !n_staged; messages = !msgs_round });
-    incr round;
-    (* Deliver: drain each staged recipient's in-dart range back-to-front
-       into its inbox list — sorted by sender id by construction, with a
-       sender's own messages kept in outbox order — and reset the dart
-       state for the sends of this round. *)
-    let k = !n_staged in
-    Array.blit staged 0 active_buf 0 k;
-    sort_prefix active_buf k;
-    n_staged := 0;
-    for i = 0 to k - 1 do
-      let v = active_buf.(i) in
-      has_mail.(v) <- false;
-      let acc = ref [] in
-      for d = xadj.(v + 1) - 1 downto xadj.(v) do
-        (match box.(d) with
-        | [] -> ()
-        | msgs ->
-            let u = srcs.(d) in
-            List.iter (fun m -> acc := (u, m) :: !acc) msgs;
-            box.(d) <- []);
-        load.(d) <- 0
-      done;
-      inbox.(v) <- !acc
-    done;
-    msgs_round := 0;
-    bits_round := 0;
-    (* Compute: only the recipients run, in ascending id order, so
-       metrics/trace record messages in the same order as the legacy
-       engine's whole-network scan. *)
-    for i = 0 to k - 1 do
-      let v = active_buf.(i) in
-      let (s, out) = proto.round g v states.(v) inbox.(v) in
-      inbox.(v) <- [];
-      states.(v) <- s;
-      List.iter (send v) out
-    done;
-    commit_round ~active:k
-  done;
-  finish observe ~metrics ~bandwidth ~n ~rounds:!round states
-    {
-      messages = !total_msgs;
-      bits = !total_bits;
-      max_message_bits = !max_msg_bits;
-      max_round_edge_bits = !max_burst;
-      active_peak = !active_peak;
-      verdict = None;
-    }
 
 (* ------------------------------------------------------------------ *)
 (* The sharded work-stealing engine                                    *)
@@ -382,18 +277,17 @@ module Mbuf = struct
 end
 
 (* A slot aborts at its first error so its event buffer is exactly the
-   prefix the sequential engine would have recorded before raising:
-   [pos] is the buffered event count at the instant the error struck,
-   [rnd] the round it struck in. *)
+   prefix a sequential sweep would have recorded before raising: [pos]
+   is the buffered event count at the instant the error struck, [rnd]
+   the round it struck in. *)
 exception Stop_shard
 
 type slot_error = { rnd : int; pos : int; err : exn }
 
 (* Per-slot counters, one padded block per slot: every send bumps its
-   slot's counters, and with the old parallel arrays (sl_msgs/sl_bits/...)
-   adjacent slots' counters shared cache lines — a measured overhead
-   fraction on chunk-heavy workloads. 13 fields + header > 64 bytes
-   keeps any two slots' hot fields on different lines. *)
+   slot's counters, and unpadded, adjacent slots' counters would share
+   cache lines. 13 fields + header > 64 bytes keeps any two slots' hot
+   fields on different lines. *)
 type slot_acc = {
   mutable a_msgs : int;
   mutable a_bits : int;
@@ -419,9 +313,15 @@ let slot_acc () =
 (* Work-stealing chunks per domain in each round's split (see below). *)
 let chunks_per_domain = 4
 
-(* The parallel round engine. The node range is split into [k]
-   contiguous shards; a persistent [Pool.t] of [k] domains executes the
-   parallel sections, claiming tasks dynamically. Each round, the
+(* An observed run merges its buffered frames and events into the sinks,
+   and recycles the logs, once they hold more than this many ints
+   (2^17 two-int message events). *)
+let flush_ints = 1 lsl 18
+
+(* The clean round engine, at every domain count. The node range is
+   split into [k] contiguous shards; a persistent [Pool.t] of [k]
+   parties executes each round's sections, claiming tasks dynamically
+   (at [k = 1] the lone party runs them inline). Each round, the
    {e sorted active list} — not the node range — is split into up to
    [k * chunks_per_domain] contiguous index chunks, so a wavefront
    concentrated in one shard still spreads over every domain, and the
@@ -429,21 +329,27 @@ let chunks_per_domain = 4
    skewed. Deliver and compute are separate pool dispatches (a barrier
    sits between them because sends may cross chunks); per-chunk
    counters, event logs and stagings then merge in chunk order, which
-   equals ascending node order, which equals the sequential engine's
-   visit order.
+   equals ascending node order — the visit order of a sequential sweep.
+
+   Bookkeeping lives in arrays preallocated at entry: [box.(d)] holds
+   the messages in flight on dart [d], head = most recent (a
+   recipient's in-darts are one contiguous CSR range ordered by sender,
+   so draining it back-to-front yields the documented delivery order
+   with no sort), and [staged]/[has_mail] is the worklist of recipients
+   with mail, so a round costs O(active + messages), never O(n).
 
    {b Deferred observation.} Observation sinks cost no serial replay
    per barrier. When no sink consumes per-message events (the benchmark
    hot path) the slots buffer nothing and the barriers fold plain
    counters. When observation is on, each slot appends its events to a
-   persistent log, every committed round appends one {e frame} (round,
-   active, totals, per-slot event watermarks) to a run-global frame
-   log, and the whole timeline is merged {e once at run end} — a
-   slot-order k-way walk of the frame log that replays messages,
-   derives each round's first-touched recipients for burst accounting,
-   and emits the round records. The price is retaining the event log
-   for the whole run, the same order of memory a message-keeping trace
-   already costs.
+   log, every committed round appends one {e frame} (round, active,
+   totals, per-slot event watermarks) to a frame log, and the timeline
+   is merged later in one serial pass — a slot-order k-way walk of the
+   frame log that replays messages, derives each round's first-touched
+   recipients for burst accounting, and emits the round records. The
+   merge runs at run end, at an error, and whenever the logs pass
+   [flush_ints], after which they are recycled: an observed run's
+   buffered events stay bounded whatever its length.
 
    {b Boundary mail.} Sends never write another shard's cache lines
    during a parallel section: a cross-shard message (sid u <> sid v) is
@@ -456,25 +362,24 @@ let chunks_per_domain = 4
    one round comes from its unique sender's single outbox — so the
    engine keeps no shared per-dart load array at all.
 
-   The result is bit-identical to [exec_clean] — states, rounds,
-   report, metrics, trace — at every domain count; the differential
-   suite (test_engine_diff.ml) holds it to that. Error behavior is
-   faithful too: each slot stops at its first error, the merge flushes
-   the frame log and then replays exactly the event prefix the
-   sequential engine would have recorded (slots below the failing one
-   in full, the failing slot up to the error), and re-raises the error
-   the sequential sweep would have hit first: the lowest slot's.
+   The result — states, rounds, report, metrics, trace — is the same at
+   every domain count and bit-identical to the reference semantics the
+   differential suite (test_engine_diff.ml) holds it to. Error behavior
+   is faithful too: each slot stops at its first error, the merge
+   flushes the frame log and then replays exactly the event prefix a
+   sequential sweep would have recorded (slots below the failing one in
+   full, the failing slot up to the error), and re-raises the error the
+   sequential sweep would have hit first: the lowest slot's.
 
    Protocols must be pure (no shared mutable state in their closures):
-   [init]/[round] of different nodes run concurrently, and [init] of
-   node 0 is invoked one extra time to seed the states array. *)
-let exec_parallel ~domains ?bandwidth ?max_rounds ?(observe = Observe.none) g
+   [init]/[round] of different nodes run concurrently. Each node's
+   [init] runs exactly once. *)
+let exec_sharded ~pool ?bandwidth ?max_rounds ?(observe = Observe.none) g
     proto =
   let n = Gr.n g in
-  let k = domains in
-  let { bandwidth; max_rounds; trace; metrics; base } =
-    setup ?bandwidth ?max_rounds observe g
-  in
+  let k = Pool.size pool in
+  let su = setup ?bandwidth ?max_rounds observe g in
+  let { bandwidth; max_rounds; trace; metrics; _ } = su in
   let xadj = Gr.dart_offsets g in
   let srcs = Gr.dart_sources g in
   let dedge = Gr.dart_edges g in
@@ -509,22 +414,12 @@ let exec_parallel ~domains ?bandwidth ?max_rounds ?(observe = Observe.none) g
   let n_staged = ref 0 in
   let active_buf = Array.make (max 1 n) 0 in
   let inbox : (int * 'm) list array = Array.make (max 1 n) [] in
-  (* One extra (discarded) init of node 0 seeds the array; protocols are
-     pure, so the real pass below overwrites it with the same value. *)
-  let states = Array.make n (fst (proto.init g 0)) in
-  let round = ref 0 in
-  let msgs_round = ref 0 in
-  let bits_round = ref 0 in
-  let total_msgs = ref 0 in
-  let total_bits = ref 0 in
-  let max_msg_bits = ref 0 in
-  let max_burst = ref 0 in
-  let active_peak = ref 0 in
-  (* Per-slot accumulators, one per chunk (up to k * chunks_per_domain
-     of them). Counters fold at the merge, stagings dedupe there; event
-     logs are append-only for the whole run and replay once at the
-     end. *)
-  let nslots = k * chunks_per_domain in
+  let tl = tally () in
+  (* Per-slot accumulators, one per chunk: up to k * chunks_per_domain
+     of them, or one when a lone party has nothing to steal. Counters
+     fold at the merge, stagings dedupe there; event logs are
+     append-only between frame-log flushes. *)
+  let nslots = if k = 1 then 1 else k * chunks_per_domain in
   let sl = Array.init nslots (fun _ -> slot_acc ()) in
   let sl_staged = Array.init nslots (fun _ -> Ibuf.make 64) in
   let sl_events =
@@ -555,37 +450,28 @@ let exec_parallel ~domains ?bandwidth ?max_rounds ?(observe = Observe.none) g
     Array.init nslots (fun _ -> Array.init k (fun _ -> Mbuf.make ()))
   in
   let fl_staged = Array.init k (fun _ -> Ibuf.make 64) in
-  (* The run-global frame log (observing runs only): per committed round
+  (* The frame log (observing runs only): per committed round
      [rnd; nc; active; msgs; bits; wm_0 .. wm_{nc-1}], where wm_s is
      slot s's event-log length at commit. [cursor] tracks each slot's
-     replay position during the run-end merge. *)
+     replay position during the merge. *)
   let frames = Ibuf.make (if observing then 256 else 16) in
   let fpos = ref 0 in
   let cursor = Array.make nslots 0 in
   (* Merge-time per-dart load reconstruction: the burst accounting of
      every round replays into a scratch copy at merge time. [mstamp]
      and [rbuf] derive the round's first-touched recipients from the
-     replayed events — exactly the sequential engine's staging set. *)
-  let mload =
-    if Option.is_some metrics then Array.make (max 1 nd) 0 else [||]
-  in
-  let mtouch = Ibuf.make 256 in
-  let mstamp = Array.make (max 1 n) 0 in
-  let rbuf = Ibuf.make 256 in
+     replayed events — exactly the round's staging set. *)
+  let burst = Option.is_some metrics in
+  let mload = if burst then Array.make (max 1 nd) 0 else [||] in
+  let mtouch = Ibuf.make 16 in
+  let mstamp = if burst then Array.make (max 1 n) 0 else [||] in
+  let rbuf = Ibuf.make 16 in
   let frame_no = ref 0 in
   let send slot rnd u (v, msg) =
     let s = rank srcs xadj.(u) (xadj.(u + 1) - 1) v in
     if s < 0 then begin
       sl.(slot).a_err <-
-        Some
-          {
-            rnd;
-            pos = sl_events.(slot).Ibuf.len;
-            err =
-              Invalid_argument
-                (Printf.sprintf "Network.exec: node %d sent to non-neighbor %d"
-                   u v);
-          };
+        Some { rnd; pos = sl_events.(slot).Ibuf.len; err = non_neighbor u v };
       raise_notrace Stop_shard
     end;
     let d = rev.(s) in
@@ -607,8 +493,8 @@ let exec_parallel ~domains ?bandwidth ?max_rounds ?(observe = Observe.none) g
     stp.(o) <- a.a_tick;
     if now > a.a_maxburst then a.a_maxburst <- now;
     if now > bandwidth then begin
-      (* The sequential engine records the violating message in its
-         sinks before raising; [pos] already includes it. *)
+      (* The violating message is recorded in the sinks before the
+         raise; [pos] already includes it. *)
       a.a_err <-
         Some
           {
@@ -630,38 +516,30 @@ let exec_parallel ~domains ?bandwidth ?max_rounds ?(observe = Observe.none) g
     end
   in
   (* Replay buffered event pairs [lo, hi) of a slot into the sinks as
-     round [rnd]; with [tally] also rebuild the per-dart round loads and
+     round [rnd]; with [burst] also rebuild the per-dart round loads and
      collect first-touched recipients for burst accounting. *)
-  let replay ~rnd ~tally slot lo hi =
+  let replay ~rnd ~burst slot lo hi =
     let ev = sl_events.(slot).Ibuf.a in
     for j = lo to hi - 1 do
       let d = ev.(2 * j) and bits = ev.((2 * j) + 1) in
       let u = srcs.(d) and v = head.(d) in
-      (match metrics with
-      | Some m ->
-          Metrics.add_message_at m
-            ~dir:((2 * dedge.(d)) + if u < v then 0 else 1)
-            ~bits;
-          if tally then begin
-            if mload.(d) = 0 then Ibuf.push mtouch d;
-            mload.(d) <- mload.(d) + bits;
-            if mstamp.(v) <> !frame_no then begin
-              mstamp.(v) <- !frame_no;
-              Ibuf.push rbuf v
-            end
-          end
-      | None -> ());
-      match trace with
-      | Some tr -> Trace.on_message tr ~round:(base + rnd) ~src:u ~dst:v ~bits
-      | None -> ()
+      record_message su ~rnd
+        ~dir:((2 * dedge.(d)) + if u < v then 0 else 1)
+        ~src:u ~dst:v ~bits;
+      if burst then begin
+        if mload.(d) = 0 then Ibuf.push mtouch d;
+        mload.(d) <- mload.(d) + bits;
+        if mstamp.(v) <> !frame_no then begin
+          mstamp.(v) <- !frame_no;
+          Ibuf.push rbuf v
+        end
+      end
     done
   in
-  (* The deferred observation merge: walk the frame log once — at run
-     end or at the error boundary — replaying each round's events in
-     slot order (the sequential visit order), scanning the round's
-     first-touched recipients' darts for the per-edge burst maxima, and
-     emitting the round records. One serial pass over the whole
-     timeline replaces the old serial replay inside every barrier. *)
+  (* The deferred observation merge: walk the frame log once, replaying
+     each round's events in slot order (the sequential visit order),
+     scanning the round's first-touched recipients' darts for the
+     per-edge burst maxima, and emitting the round records. *)
   let flush_frames () =
     let fa = frames.Ibuf.a in
     while !fpos < frames.Ibuf.len do
@@ -669,14 +547,10 @@ let exec_parallel ~domains ?bandwidth ?max_rounds ?(observe = Observe.none) g
       let p = !fpos in
       let rnd = fa.(p) in
       let nc = fa.(p + 1) in
-      let active = fa.(p + 2) in
-      let msgs = fa.(p + 3) in
-      let bits = fa.(p + 4) in
-      let tally = Option.is_some metrics in
       Ibuf.clear rbuf;
       for s = 0 to nc - 1 do
         let wm = fa.(p + 5 + s) in
-        replay ~rnd ~tally s (cursor.(s) / 2) (wm / 2);
+        replay ~rnd ~burst s (cursor.(s) / 2) (wm / 2);
         cursor.(s) <- wm
       done;
       (match metrics with
@@ -693,39 +567,38 @@ let exec_parallel ~domains ?bandwidth ?max_rounds ?(observe = Observe.none) g
           for i = 0 to mtouch.Ibuf.len - 1 do
             mload.(mtouch.Ibuf.a.(i)) <- 0
           done;
-          Ibuf.clear mtouch;
-          Metrics.record_round m ~round:(base + rnd) ~active ~messages:msgs
-            ~bits
+          Ibuf.clear mtouch
       | None -> ());
-      (match trace with
-      | Some tr ->
-          Trace.on_round tr ~round:(base + rnd) ~active ~messages:msgs ~bits
-      | None -> ());
+      record_round su ~rnd ~active:fa.(p + 2) ~msgs:fa.(p + 3)
+        ~bits:fa.(p + 4);
       fpos := p + 5 + nc
     done
   in
-  (* Commit one round (or init): when observing, append a frame for the
-     run-end merge; totals fold either way. *)
+  (* Commit one round (or init): when observing, append a frame, and
+     merge and recycle the logs once they pass [flush_ints] — every
+     buffered event belongs to a committed frame at this point. Totals
+     fold either way. *)
   let commit_round ~nc ~active =
     if observing then begin
-      Ibuf.push frames !round;
+      Ibuf.push frames tl.t_round;
       Ibuf.push frames nc;
       Ibuf.push frames active;
-      Ibuf.push frames !msgs_round;
-      Ibuf.push frames !bits_round;
+      Ibuf.push frames tl.t_msgs;
+      Ibuf.push frames tl.t_bits;
       for s = 0 to nc - 1 do
         Ibuf.push frames sl_events.(s).Ibuf.len
-      done
+      done;
+      let buffered = ref frames.Ibuf.len in
+      Array.iter (fun ev -> buffered := !buffered + ev.Ibuf.len) sl_events;
+      if !buffered > flush_ints then begin
+        flush_frames ();
+        Array.iter Ibuf.clear sl_events;
+        Array.fill cursor 0 nslots 0;
+        Ibuf.clear frames;
+        fpos := 0
+      end
     end;
-    if active > !active_peak then active_peak := active;
-    total_msgs := !total_msgs + !msgs_round;
-    total_bits := !total_bits + !bits_round
-  in
-  let pool = Pool.create ~domains:k () in
-  let shutdown () = Pool.shutdown pool in
-  let fail_with e =
-    shutdown ();
-    raise e
+    commit tl ~active
   in
   (* Deliver the boundary mail staged during a parallel section: walk
      destination shards, draining slots in ascending order — each
@@ -762,7 +635,7 @@ let exec_parallel ~domains ?bandwidth ?max_rounds ?(observe = Observe.none) g
           Mbuf.clear mb
         done
       in
-      if !total < 512 || k <= 1 then
+      if !total < 512 then
         for t = 0 to k - 1 do
           flush_to t
         done
@@ -795,21 +668,21 @@ let exec_parallel ~domains ?bandwidth ?max_rounds ?(observe = Observe.none) g
       if observing then begin
         flush_frames ();
         for i = 0 to !erri - 1 do
-          replay ~rnd ~tally:false i
+          replay ~rnd ~burst:false i
             (cursor.(i) / 2)
             (sl_events.(i).Ibuf.len / 2)
         done;
-        replay ~rnd ~tally:false !erri (cursor.(!erri) / 2) (pos / 2)
+        replay ~rnd ~burst:false !erri (cursor.(!erri) / 2) (pos / 2)
       end;
-      fail_with err
+      raise err
     end;
     flush_boundary nc;
     for i = 0 to nc - 1 do
       let a = sl.(i) in
-      msgs_round := !msgs_round + a.a_msgs;
-      bits_round := !bits_round + a.a_bits;
-      if a.a_maxmsg > !max_msg_bits then max_msg_bits := a.a_maxmsg;
-      if a.a_maxburst > !max_burst then max_burst := a.a_maxburst;
+      tl.t_msgs <- tl.t_msgs + a.a_msgs;
+      tl.t_bits <- tl.t_bits + a.a_bits;
+      if a.a_maxmsg > tl.t_max_msg then tl.t_max_msg <- a.a_maxmsg;
+      if a.a_maxburst > tl.t_max_burst then tl.t_max_burst <- a.a_maxburst;
       let st = sl_staged.(i) in
       for j = 0 to st.Ibuf.len - 1 do
         let w = st.Ibuf.a.(j) in
@@ -826,41 +699,47 @@ let exec_parallel ~domains ?bandwidth ?max_rounds ?(observe = Observe.none) g
       Ibuf.clear sl_staged.(i)
     done
   in
-  (* Init: chunked over contiguous node ranges, with the standard
-     merge. *)
+  (* Init: chunked over contiguous node ranges, each chunk filling its
+     own slice of the states, with the standard merge. *)
   let nc_init = max 1 (min nslots n) in
+  let parts = Array.make nc_init [||] in
   Pool.run pool ~tasks:nc_init (fun c ->
       let lo = c * n / nc_init and hi = (c + 1) * n / nc_init in
       try
-        for v = lo to hi - 1 do
-          let (s, out) = proto.init g v in
-          states.(v) <- s;
-          sl.(c).a_tick <- sl.(c).a_tick + 1;
-          List.iter (send c 0 v) out
-        done
+        parts.(c) <-
+          Array.init (hi - lo) (fun j ->
+              let v = lo + j in
+              let (s, out) = proto.init g v in
+              sl.(c).a_tick <- sl.(c).a_tick + 1;
+              List.iter (send c 0 v) out;
+              s)
       with
       | Stop_shard -> ()
       | e ->
           sl.(c).a_err <-
             Some { rnd = 0; pos = sl_events.(c).Ibuf.len; err = e });
   merge_slots nc_init;
-  if !msgs_round > 0 then commit_round ~nc:nc_init ~active:n;
+  let states = Array.concat (Array.to_list parts) in
+  (* Round 0's spontaneous sends are checked and counted too; every node
+     ran its init, so all n nodes are active. *)
+  if tl.t_msgs > 0 then commit_round ~nc:nc_init ~active:n;
   while !n_staged > 0 do
-    if !round >= max_rounds then begin
+    if tl.t_round >= max_rounds then begin
       if observing then flush_frames ();
-      fail_with
+      raise
         (No_quiescence
-           { round = !round; active = !n_staged; messages = !msgs_round })
+           { round = tl.t_round; active = !n_staged; messages = tl.t_msgs })
     end;
     let kact = !n_staged in
     Array.blit staged 0 active_buf 0 kact;
     sort_prefix active_buf kact;
     n_staged := 0;
-    msgs_round := 0;
-    bits_round := 0;
-    incr round;
-    let rnd = !round in
+    next_round tl;
+    let rnd = tl.t_round in
     let nc = min nslots kact in
+    (* Deliver: drain each active recipient's in-dart range back-to-front
+       into its inbox list — sorted by sender id by construction, with a
+       sender's own messages kept in outbox order. *)
     Pool.run pool ~tasks:nc (fun c ->
         let lo = c * kact / nc and hi = (c + 1) * kact / nc in
         try
@@ -880,6 +759,8 @@ let exec_parallel ~domains ?bandwidth ?max_rounds ?(observe = Observe.none) g
           done
         with e ->
           sl.(c).a_err <- Some { rnd; pos = sl_events.(c).Ibuf.len; err = e });
+    (* Compute: only the recipients run, in ascending id order within
+       each chunk. *)
     Pool.run pool ~tasks:nc (fun c ->
         let lo = c * kact / nc and hi = (c + 1) * kact / nc in
         try
@@ -899,16 +780,7 @@ let exec_parallel ~domains ?bandwidth ?max_rounds ?(observe = Observe.none) g
     commit_round ~nc ~active:kact
   done;
   if observing then flush_frames ();
-  shutdown ();
-  finish observe ~metrics ~bandwidth ~n ~rounds:!round states
-    {
-      messages = !total_msgs;
-      bits = !total_bits;
-      max_message_bits = !max_msg_bits;
-      max_round_edge_bits = !max_burst;
-      active_peak = !active_peak;
-      verdict = None;
-    }
+  finish observe su tl states
 
 (* The fault-aware clocked engine. [exec] dispatches here whenever a
    fault plan is installed, at any domain count, so this loop favors
@@ -942,13 +814,12 @@ let exec_parallel ~domains ?bandwidth ?max_rounds ?(observe = Observe.none) g
    tail, so the error surfaces exactly after the sends a sequential
    sweep would have processed first; bandwidth violations raise from
    the serial phase mid-walk. *)
-let exec_clocked ~plan ~domains ?bandwidth ?max_rounds
+let exec_clocked ~plan ~pool ?bandwidth ?max_rounds
     ?(observe = Observe.none) g proto =
   let n = Gr.n g in
-  let k = domains in
-  let { bandwidth; max_rounds; trace; metrics; base } =
-    setup ?bandwidth ?max_rounds observe g
-  in
+  let k = Pool.size pool in
+  let su = setup ?bandwidth ?max_rounds observe g in
+  let { bandwidth; max_rounds; trace; metrics; base } = su in
   let xadj = Gr.dart_offsets g in
   let srcs = Gr.dart_sources g in
   let dedge = Gr.dart_edges g in
@@ -961,14 +832,7 @@ let exec_clocked ~plan ~domains ?bandwidth ?max_rounds
     done
   done;
   let shard_lo = Array.init (k + 1) (fun i -> i * n / k) in
-  let round = ref 0 in
-  let msgs_round = ref 0 in
-  let bits_round = ref 0 in
-  let total_msgs = ref 0 in
-  let total_bits = ref 0 in
-  let max_msg_bits = ref 0 in
-  let max_burst = ref 0 in
-  let active_peak = ref 0 in
+  let tl = tally () in
   (* Load/touched are only read and written by the serial network
      phase. *)
   let load = Array.make (max 1 nd) 0 in
@@ -984,16 +848,10 @@ let exec_clocked ~plan ~domains ?bandwidth ?max_rounds
   let ob_uv = Array.init k (fun _ -> Ibuf.make 64) in
   let ob_m : 'm Mbuf.t array = Array.init k (fun _ -> Mbuf.make ()) in
   let sh_err : exn option array = Array.make k None in
-  let pool = Pool.create ~domains:k () in
-  let shutdown () = Pool.shutdown pool in
-  let fail_with e =
-    shutdown ();
-    raise e
-  in
   let on_fault kind ~src ~dst =
     (match metrics with Some m -> Metrics.note_fault m ~kind | None -> ());
     match trace with
-    | Some tr -> Trace.on_fault tr ~round:(base + !round) ~kind ~src ~dst
+    | Some tr -> Trace.on_fault tr ~round:(base + tl.t_round) ~kind ~src ~dst
     | None -> ()
   in
   let schedule ~src ~dst msg (c : Fault.delivery) =
@@ -1005,7 +863,7 @@ let exec_clocked ~plan ~domains ?bandwidth ?max_rounds
           key
       | None -> !seq
     in
-    let at = !round + 1 + c.Fault.offset in
+    let at = tl.t_round + 1 + c.Fault.offset in
     let sofar = try Hashtbl.find pending at with Not_found -> [] in
     Hashtbl.replace pending at ((dst, src, key, !seq, msg) :: sofar);
     incr seq;
@@ -1028,30 +886,20 @@ let exec_clocked ~plan ~domains ?bandwidth ?max_rounds
         let msg = mb.Mbuf.a.(j) in
         let d =
           let s = rank srcs xadj.(u) (xadj.(u + 1) - 1) v in
-          if s < 0 then
-            fail_with
-              (Invalid_argument
-                 (Printf.sprintf
-                    "Network.exec: node %d sent to non-neighbor %d" u v));
+          if s < 0 then raise (non_neighbor u v);
           rev.(s)
         in
         let bits = proto.msg_bits msg in
-        (match metrics with
-        | Some m -> Metrics.add_message_at m ~dir:dir_of_dart.(d) ~bits
-        | None -> ());
-        (match trace with
-        | Some tr ->
-            Trace.on_message tr ~round:(base + !round) ~src:u ~dst:v ~bits
-        | None -> ());
-        incr msgs_round;
-        bits_round := !bits_round + bits;
-        if bits > !max_msg_bits then max_msg_bits := bits;
+        record_message su ~rnd:r ~dir:dir_of_dart.(d) ~src:u ~dst:v ~bits;
+        tl.t_msgs <- tl.t_msgs + 1;
+        tl.t_bits <- tl.t_bits + bits;
+        if bits > tl.t_max_msg then tl.t_max_msg <- bits;
         if load.(d) = 0 then touched := d :: !touched;
         let now = load.(d) + bits in
         load.(d) <- now;
-        if now > !max_burst then max_burst := now;
+        if now > tl.t_max_burst then tl.t_max_burst <- now;
         if now > bandwidth then
-          fail_with (Bandwidth_exceeded { round = !round; u; v; bits = now });
+          raise (Bandwidth_exceeded { round = r; u; v; bits = now });
         let sub =
           match Hashtbl.find_opt subs d with
           | Some sub -> sub
@@ -1069,7 +917,7 @@ let exec_clocked ~plan ~domains ?bandwidth ?max_rounds
       done;
       Ibuf.clear uv;
       Mbuf.clear mb;
-      match sh_err.(i) with Some e -> fail_with e | None -> ()
+      match sh_err.(i) with Some e -> raise e | None -> ()
     done
   in
   let commit_round ~active =
@@ -1078,18 +926,10 @@ let exec_clocked ~plan ~domains ?bandwidth ?max_rounds
         List.iter
           (fun d ->
             Metrics.note_round_edge_at m ~dir:dir_of_dart.(d) ~bits:load.(d))
-          !touched;
-        Metrics.record_round m ~round:(base + !round) ~active
-          ~messages:!msgs_round ~bits:!bits_round
+          !touched
     | None -> ());
-    (match trace with
-    | Some tr ->
-        Trace.on_round tr ~round:(base + !round) ~active ~messages:!msgs_round
-          ~bits:!bits_round
-    | None -> ());
-    if active > !active_peak then active_peak := active;
-    total_msgs := !total_msgs + !msgs_round;
-    total_bits := !total_bits + !bits_round
+    record_round su ~rnd:tl.t_round ~active ~msgs:tl.t_msgs ~bits:tl.t_bits;
+    commit tl ~active
   in
   let reset_loads () =
     List.iter (fun d -> load.(d) <- 0) !touched;
@@ -1129,7 +969,7 @@ let exec_clocked ~plan ~domains ?bandwidth ?max_rounds
   apply_sends 0;
   let states = Array.concat (Array.to_list parts) in
   let inbox : (int * 'm) list array = Array.make (max 1 n) [] in
-  if !msgs_round > 0 then commit_round ~active:n;
+  if tl.t_msgs > 0 then commit_round ~active:n;
   reset_loads ();
   (* Landed copies of the round being delivered: per-recipient reverse
      lists of (src, key, seq, msg). *)
@@ -1145,23 +985,23 @@ let exec_clocked ~plan ~domains ?bandwidth ?max_rounds
       pending;
     Hashtbl.length seen
   in
-  if !msgs_round = 0 && !in_flight = 0 then idle := grace;
+  if tl.t_msgs = 0 && !in_flight = 0 then idle := grace;
   (* The clocked loop: runs until [grace] consecutive rounds saw no send
      and nothing in flight, and the crash schedule's horizon has passed
      (a restart scheduled after a lull must still execute). A run whose
      init sent nothing, under a plan that schedules nothing, is over
      immediately — as in the clean engine. *)
-  while not (!idle >= grace && !round >= horizon) do
-    if !round >= max_rounds then
-      fail_with
+  while not (!idle >= grace && tl.t_round >= horizon) do
+    if tl.t_round >= max_rounds then
+      raise
         (No_quiescence
            {
-             round = !round;
+             round = tl.t_round;
              active = pending_recipients ();
-             messages = !msgs_round;
+             messages = tl.t_msgs;
            });
-    incr round;
-    let r = !round in
+    next_round tl;
+    let r = tl.t_round in
     apply_transitions r;
     (* Deliver: due copies land in their recipients' inboxes — unless
        the recipient is down, in which case the network discards them
@@ -1200,8 +1040,6 @@ let exec_clocked ~plan ~domains ?bandwidth ?max_rounds
           inbox.(v) <-
             Array.fold_right (fun (src, _, _, m) acc -> (src, m) :: acc) a []
     done;
-    msgs_round := 0;
-    bits_round := 0;
     (* Compute: every live node steps, with an empty inbox if nothing
        arrived — the clock a recovery layer's retransmission timers run
        on. [active] keeps its metrics meaning: nodes that had mail.
@@ -1231,33 +1069,24 @@ let exec_clocked ~plan ~domains ?bandwidth ?max_rounds
     apply_sends r;
     commit_round ~active:!active;
     reset_loads ();
-    idle := if !msgs_round = 0 && !in_flight = 0 then !idle + 1 else 0
+    idle := if tl.t_msgs = 0 && !in_flight = 0 then !idle + 1 else 0
   done;
-  shutdown ();
-  finish observe ~metrics ~bandwidth ~n ~rounds:!round states
-    {
-      messages = !total_msgs;
-      bits = !total_bits;
-      max_message_bits = !max_msg_bits;
-      max_round_edge_bits = !max_burst;
-      active_peak = !active_peak;
-      verdict = None;
-    }
+  finish observe su tl states
 
-(* One entry point, three engines: the clean flat-array loop whenever no
-   fault plan is installed and one domain suffices — allocation-free per
-   round — the sharded work-stealing loop when [domains > 1]
-   (bit-identical to the clean loop by construction), and the clocked
-   fault-aware loop whenever a plan is installed, sharded over
-   [domains] and the same at every domain count. *)
+(* One entry point, two engines: the clean sharded loop whenever no
+   fault plan is installed, and the clocked fault-aware loop whenever
+   one is. Both shard over a pool of [domains] parties (capped at one
+   party per node, and one party for an empty graph), which is shut
+   down however the run ends, and give the same run at every domain
+   count. *)
 let exec ?(config = Config.default) g proto =
   let { Config.domains; bandwidth; max_rounds; observe; faults } = config in
   if domains < 1 then invalid_arg "Network.exec: domains must be at least 1";
-  match faults with
-  | Some plan ->
-      let k = min domains (max 1 (Gr.n g)) in
-      exec_clocked ~plan ~domains:k ?bandwidth ?max_rounds ~observe g proto
-  | None ->
-      let k = min domains (Gr.n g) in
-      if k <= 1 then exec_clean ?bandwidth ?max_rounds ~observe g proto
-      else exec_parallel ~domains:k ?bandwidth ?max_rounds ~observe g proto
+  let pool = Pool.create ~domains:(min domains (max 1 (Gr.n g))) () in
+  Fun.protect
+    ~finally:(fun () -> Pool.shutdown pool)
+    (fun () ->
+      match faults with
+      | Some plan ->
+          exec_clocked ~plan ~pool ?bandwidth ?max_rounds ~observe g proto
+      | None -> exec_sharded ~pool ?bandwidth ?max_rounds ~observe g proto)

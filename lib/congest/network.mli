@@ -93,7 +93,7 @@ module Config : sig
   }
 
   val default : t
-  (** Sequential, unobserved, fault-free: [domains = 1], default
+  (** One domain, unobserved, fault-free: [domains = 1], default
       bandwidth and round guard. *)
 
   val with_domains : int -> t -> t
@@ -122,25 +122,25 @@ val exec : ?config:Config.t -> Gr.t -> ('s, 'm) protocol -> 's run_result
     timeline: this run's round numbers are offset by [Metrics.rounds]
     at entry.
 
-    With no fault plan installed (the default) and one domain, the run
-    executes on the clean flat-array loop — allocation-free per round,
-    delivery order exactly as documented on {!type:protocol}.
-
-    [domains > 1] runs the sharded work-stealing engine: the node range
-    splits into contiguous shards, and each round's {e active list} is
-    spread over a fixed number of dynamically-claimed chunks per domain.
-    The result — states, rounds, report, and the full metrics/trace
-    timelines — is {b bit-identical} to the sequential engine at every
+    With no fault plan installed (the default), the run executes on the
+    clean sharded loop at every domain count: the node range splits into
+    [domains] contiguous shards, and each round's {e active list} is
+    spread over a fixed number of dynamically-claimed chunks per domain
+    (at [domains = 1] one party runs them inline, spawning no domain).
+    Unobserved, a round allocates nothing beyond the message lists the
+    protocol interface requires, and the delivery order is exactly as
+    documented on {!type:protocol}. The result — states, rounds, report,
+    and the full metrics/trace timelines — is {b bit-identical} at every
     domain count, including which error is raised and what the sinks
     saw before it; the differential suite pins this across domain
-    counts. Observation is deferred: slots log events during the run
-    and one serial pass at run end rebuilds the exact sequential
-    metrics/trace timeline (an observed parallel run retains its event
-    log for the run's duration; unobserved runs log nothing). One
-    restriction comes with [domains > 1]: the protocol's [init] and
-    [round] closures must be pure up to their returned values (they run
-    concurrently for different nodes, and [init g 0] is called one
-    extra time to seed internal storage).
+    counts against an independent reference engine. Observation is
+    deferred: slots log events during the run and a serial merge
+    rebuilds the exact metrics/trace timeline — at run end, at an
+    error, and whenever the buffered events pass a fixed threshold, so
+    an observed run's extra memory stays bounded; unobserved runs log
+    nothing. The protocol's [init] and [round] closures must be pure up
+    to their returned values: they run concurrently for different nodes
+    when [domains > 1]. Each node's [init] runs exactly once.
 
     Installing a {!Fault.plan} switches the run to the fault-aware
     {e clocked} loop, at any domain count: messages are dropped,

@@ -236,10 +236,24 @@ let publish t =
   Condition.broadcast t.cv;
   Mutex.unlock t.m
 
+(* A lone party has no one to publish to: run the tasks inline, in index
+   order, with the same envelope — every task runs, the lowest failing
+   index is re-raised — and no atomics, mutexes or generation bump. *)
+let run_inline ~tasks f =
+  let err = ref None in
+  for i = 0 to tasks - 1 do
+    try f i
+    with e -> if Option.is_none !err then err := Some (i, e)
+  done;
+  match !err with
+  | Some (index, exn) -> raise (Task_failed { index; exn })
+  | None -> ()
+
 let run t ~tasks f =
   if tasks < 0 then invalid_arg "Pool.run: negative task count";
   if not t.live then invalid_arg "Pool.run: pool is shut down";
-  if tasks > 0 then begin
+  if t.parties = 1 then run_inline ~tasks f
+  else if tasks > 0 then begin
     t.job <- f;
     t.tasks <- tasks;
     t.err <- None;

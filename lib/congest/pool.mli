@@ -76,7 +76,9 @@ val run : t -> tasks:int -> (int -> unit) -> unit
     all task effects are visible to the caller (and to every party on
     the next [run]) when it returns. [f] must not call back into the
     same pool. If tasks raise, the lowest failing index is re-raised as
-    {!Task_failed} after the barrier; the other tasks still ran.
+    {!Task_failed} after the barrier; the other tasks still ran. A
+    one-party pool runs the tasks inline, in index order, with the same
+    envelope.
     @raise Invalid_argument if [tasks < 0] or the pool is shut down. *)
 
 val shutdown : t -> unit

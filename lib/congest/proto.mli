@@ -16,9 +16,8 @@
     the fault-aware engine, so the primitive computes the same result
     over lossy, reordering, crash-restarting links — at the price of
     acknowledgement traffic, retransmission rounds and the plan's
-    quiescence grace period. Without a plan, execution is the clean (or,
-    at [domains > 1], the parallel) engine, bit-identical to the
-    sequential behavior. A fault plan composes with any [domains]: the
+    quiescence grace period. Without a plan, execution is the clean
+    sharded engine, bit-identical at every domain count. A fault plan composes with any [domains]: the
     faulted run is the same at every domain count, as at the engine
     level. *)
 

@@ -518,18 +518,29 @@ let test_verdict_survives_loss () =
   run_cases Certify.prove;
   run_cases (fun r -> Certify.corrupt ~seed:77 ~k:3 (Certify.prove r))
 
-let test_faults_exclude_domains () =
-  let g = Gen.grid 4 4 in
-  let r = embed_exn g in
-  let certs = Certify.prove r in
-  check_bool "raises" true
-    (try
-       ignore
-         (Certify.verify
-            ~config:(Network.Config.make ~domains:4 ~faults:(lossy 0.05) ())
-            r certs);
-       false
-     with Invalid_argument _ -> true)
+(* A faulted verification is a pure function of the plan's seed: at
+   four domains it returns the accept map, reasons, rounds and report of
+   the one-domain run, for clean and corrupted certificates alike. *)
+let test_faulted_verify_domain_invariant () =
+  let r = embed_exn (Gen.grid 6 7) in
+  List.iter
+    (fun (name, certs) ->
+      let run domains =
+        Certify.verify
+          ~config:(Network.Config.make ~domains ~faults:(lossy 0.05) ())
+          r certs
+      in
+      let o1 = run 1 and o4 = run 4 in
+      check_bool (name ^ ": accept map") true
+        (o1.Certify.accept = o4.Certify.accept);
+      check_bool (name ^ ": reasons") true
+        (o1.Certify.reasons = o4.Certify.reasons);
+      check_bool (name ^ ": rounds") true (o1.Certify.rounds = o4.Certify.rounds);
+      check_bool (name ^ ": report") true (o1.Certify.report = o4.Certify.report))
+    [
+      ("clean", Certify.prove r);
+      ("corrupted", Certify.corrupt ~seed:77 ~k:3 (Certify.prove r));
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Kernel parity (PR 5 closure)                                        *)
@@ -600,8 +611,8 @@ let () =
         [
           Alcotest.test_case "verdict invariant under loss" `Quick
             test_verdict_survives_loss;
-          Alcotest.test_case "faults exclude domains" `Quick
-            test_faults_exclude_domains;
+          Alcotest.test_case "faulted verify is domain-invariant" `Quick
+            test_faulted_verify_domain_invariant;
         ] );
       ( "kernel parity",
         [ Alcotest.test_case "LR and DMP both certify" `Quick test_kernel_parity ] );

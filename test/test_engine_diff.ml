@@ -1,5 +1,4 @@
-(* Differential test of the flat-array engine against the pre-redesign
-   one.
+(* Differential test of the round engine against the pre-redesign one.
 
    Legacy_network.run keeps the historical per-round-hashtable
    implementation precisely so this suite can execute both engines on
@@ -8,11 +7,13 @@
    round log) and trace journals (including individual message events)
    — across every generator family, fixed and seeded, and across
    protocols that probe the delivery-order guarantee and multi-message
-   edges. The sharded engine is held to the sequential one at every
-   domain count of the sweep, and so is the faulted (clocked) engine:
-   a faulted run must not depend on the domain count. Further groups
-   check the engines agree on errors too, and that the round loop's
-   allocation is independent of n. *)
+   edges. The clean engine is one sharded loop at every domain count;
+   each sweep point is held to the one-domain run, which is held to the
+   legacy engine, and the faulted (clocked) engine is held to its own
+   one-domain run: a faulted run must not depend on the domain count.
+   Further groups check the engines agree on errors and edge cases too
+   (error paths against the legacy engine directly), and that the round
+   loop's allocation is independent of n. *)
 
 let check = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -133,9 +134,8 @@ let run_exec_sharded ~domains proto g =
   in
   (r, m, tr)
 
-(* Domain counts for the sequential-vs-sharded sweeps: even and odd
-   splits, and more shards than balance well. domains = 1 must hit the
-   sequential engine (the dispatcher's k <= 1 path). CI's multicore job
+(* Domain counts for the sweeps: one party (the pool runs inline), even
+   and odd splits, and more shards than balance well. CI's multicore job
    adds its own shard count via DOMAINS. *)
 let sweep_points =
   let base = [ 1; 2; 3; 4; 7 ] in
@@ -188,8 +188,9 @@ let diff_one name proto g =
   check (name ^ ": report active peak") (Metrics.active_peak m_new)
     r_new.Network.report.Network.active_peak
 
-(* The sharded engine against the sequential one: same exec entry point,
-   a [~domains] config versus the default — states, rounds, report, the
+(* Every domain count against the one-domain run (itself pinned to the
+   legacy engine by [diff_one]): same exec entry point, a [~domains]
+   config versus the default — states, rounds, report, the
    full metrics sink and the message-level trace journal must all be
    bit-identical at every domain count. The same point is exercised
    three ways, because the engine's deferred observation takes different
@@ -293,6 +294,26 @@ let seeded_props =
     prop "diff random planar" (fun seed ->
         Gen.random_planar ~seed ~n:24 ~m:40);
   ]
+
+(* An observed run long enough to cross the engine's flush threshold
+   (2^17 buffered message events), so the deferred merge runs mid-run
+   and the slot logs are recycled: the metrics and trace timelines must
+   still equal the legacy engine's. *)
+let test_flush_threshold () =
+  let g = Gen.grid 60 60 in
+  let (s_old, m_old, t_old) = run_legacy flood g in
+  check_bool "run crosses the flush threshold" true
+    (Metrics.messages m_old > 1 lsl 17);
+  List.iter
+    (fun k ->
+      let name = Printf.sprintf "60x60 flood [domains=%d]" k in
+      let (r, m, tr) = run_exec_sharded ~domains:k flood g in
+      check_bool (name ^ ": states") true (s_old = r.Network.states);
+      check (name ^ ": rounds") (Metrics.rounds m_old) r.Network.rounds;
+      metrics_equal name m_old m;
+      check_bool (name ^ ": trace events") true
+        (Trace.events t_old = Trace.events tr))
+    [ 1; 2; 4 ]
 
 (* ------------------------------------------------------------------ *)
 (* Faulted runs across domain counts                                   *)
@@ -422,6 +443,24 @@ let test_faulted_error_parity () =
         (observed k = seq))
     (List.filter (fun k -> k > 1) sweep_points)
 
+(* A protocol whose [msg_bits] raises during the faulted run's serial
+   network phase: the exception reaches the caller and the run's worker
+   domains are released. Leaked workers would exhaust the runtime's
+   domain limit (128) well before the last of these runs. *)
+let test_faulted_error_releases_pool () =
+  let g = Gen.path 4 in
+  let proto = { hello with Network.msg_bits = (fun _ -> raise Exit) } in
+  for _ = 1 to 150 do
+    let plan = Fault.make ~spec:{ Fault.default with drop = 0.1 } ~seed:1 () in
+    try
+      ignore
+        (Network.exec
+           ~config:(Network.Config.make ~domains:2 ~faults:plan ())
+           g proto);
+      Alcotest.fail "expected Exit"
+    with Exit -> ()
+  done
+
 (* ------------------------------------------------------------------ *)
 (* Error parity                                                        *)
 (* ------------------------------------------------------------------ *)
@@ -466,11 +505,52 @@ let test_bandwidth_parity () =
         true (p_old = p_shard))
     [ 2; 3 ]
 
+(* Run [run] with fresh metrics and a message-keeping trace, expecting
+   a bandwidth violation: the raised payload and the sinks it left. *)
+let observe_violation g run =
+  let m = Metrics.create g in
+  let tr = Trace.create ~keep_messages:true () in
+  let p =
+    try
+      run m tr;
+      Alcotest.fail "expected Bandwidth_exceeded"
+    with Network.Bandwidth_exceeded { round; u; v; bits } -> (round, u, v, bits)
+  in
+  (p, m, tr)
+
+(* An erring run of [proto] at every domain count in [domains] against
+   the legacy engine with the same sinks: the payload and everything the
+   sinks saw before the raise — metrics and message trace — must agree. *)
+let diff_violation name ~bandwidth ~domains g proto =
+  let (p_old, m_old, t_old) =
+    observe_violation g (fun m tr ->
+        ignore (Legacy_network.run ~bandwidth ~metrics:m ~trace:tr g proto))
+  in
+  List.iter
+    (fun k ->
+      let name = Printf.sprintf "%s [domains=%d]" name k in
+      let (p, m, tr) =
+        observe_violation g (fun m tr ->
+            ignore
+              (Network.exec
+                 ~config:
+                   (Network.Config.make ~domains:k ~bandwidth
+                      ~observe:(Observe.make ~metrics:m ~trace:tr ())
+                      ())
+                 g proto))
+      in
+      check_bool (name ^ ": payload") true (p = p_old);
+      metrics_equal name m_old m;
+      check_bool (name ^ ": trace events") true
+        (Trace.events t_old = Trace.events tr))
+    domains;
+  p_old
+
 (* A violation deep inside a run: a token walks a long path, and the
    node that receives it at hop [boom] over-sends against the budget.
    The erring round sits well after many committed rounds; the raised
-   payload and the observation prefix must still match the sequential
-   run exactly — the run-end merge may not replay past the error. *)
+   payload and the observation prefix must still match the legacy
+   engine exactly — the merge may not replay past the error. *)
 let test_deep_oversend_parity () =
   let n = 24 and boom = 10 in
   let g = Gen.path n in
@@ -488,29 +568,11 @@ let test_deep_oversend_parity () =
       msg_bits = (fun _ -> 10);
     }
   in
-  let observed config =
-    let m = Metrics.create g in
-    let tr = Trace.create ~keep_messages:true () in
-    let config = Network.Config.with_observe (Observe.make ~metrics:m ~trace:tr ()) config in
-    let p =
-      try
-        ignore (Network.exec ~config g proto);
-        Alcotest.fail "expected Bandwidth_exceeded"
-      with Network.Bandwidth_exceeded { round; u; v; bits } -> (round, u, v, bits)
-    in
-    (p, Metrics.messages m, Metrics.total_bits m, Trace.events tr)
+  let (rnd, _, _, _) =
+    diff_violation "deep payload and prefix" ~bandwidth:16
+      ~domains:[ 1; 2; 3; 4 ] g proto
   in
-  let seq = observed (Network.Config.make ~bandwidth:16 ()) in
-  let (p_seq, _, _, _) = seq in
-  let (rnd, _, _, _) = p_seq in
-  check "violation is mid-run" boom rnd;
-  List.iter
-    (fun k ->
-      check_bool
-        (Printf.sprintf "deep payload and prefix [domains=%d]" k)
-        true
-        (observed (Network.Config.make ~domains:k ~bandwidth:16 ()) = seq))
-    [ 2; 3; 4 ]
+  check "violation is mid-run" boom rnd
 
 let test_non_neighbor_parity () =
   let g = Gr.of_edges ~n:3 [ (0, 1); (1, 2) ] in
@@ -542,10 +604,10 @@ let test_non_neighbor_parity () =
         m_old m_shard)
     [ 2; 3 ]
 
-(* A sharded run that dies must leave the same observation prefix the
-   sequential engine leaves: everything the sinks saw before the raise,
-   nothing more — even when the violation sits in a later shard, whose
-   sibling shards had already buffered their own rounds' events. *)
+(* A run that dies must leave the observation prefix the legacy engine
+   leaves: everything the sinks saw before the raise, nothing more —
+   even when the violation sits in a later shard, whose sibling shards
+   had already buffered their own rounds' events. *)
 let test_sharded_error_observation () =
   let g = Gen.path 4 in
   let proto =
@@ -560,29 +622,54 @@ let test_sharded_error_observation () =
       msg_bits = (fun _ -> 10);
     }
   in
-  let observed domains =
-    let m = Metrics.create g in
-    let tr = Trace.create ~keep_messages:true () in
-    (try
-       ignore
-         (Network.exec
-            ~config:
-              (Network.Config.make ~domains ~bandwidth:16
-                 ~observe:(Observe.make ~metrics:m ~trace:tr ())
-                 ())
-            g proto);
-       Alcotest.fail "expected Bandwidth_exceeded"
-     with Network.Bandwidth_exceeded _ -> ());
-    (Metrics.messages m, Metrics.total_bits m, Trace.events tr)
-  in
-  let seq = observed 1 in
+  ignore
+    (diff_violation "error-path observation prefix" ~bandwidth:16
+       ~domains:[ 1; 2; 3 ] g proto)
+
+(* Each node's [init] runs exactly once, at every domain count, on the
+   clean and the faulted engine alike — no extra call seeds storage. *)
+let test_init_once () =
+  let g = Gen.grid 7 9 in
   List.iter
     (fun k ->
-      check_bool
-        (Printf.sprintf "error-path observation prefix [domains=%d]" k)
-        true
-        (observed k = seq))
-    [ 2; 3 ]
+      List.iter
+        (fun (what, faults) ->
+          let calls = Atomic.make 0 in
+          let proto =
+            {
+              flood with
+              Network.init =
+                (fun g v ->
+                  Atomic.incr calls;
+                  flood.Network.init g v);
+            }
+          in
+          ignore
+            (Network.exec
+               ~config:(Network.Config.make ~domains:k ?faults ())
+               g proto);
+          check
+            (Printf.sprintf "init calls [%s, domains=%d]" what k)
+            (Gr.n g) (Atomic.get calls))
+        [
+          ("clean", None);
+          ("faulted", Some (Fault.make ~spec:(fault_mix g) ~seed:3 ()));
+        ])
+    sweep_points
+
+(* The empty network quiesces before round 1 at any domain count. *)
+let test_empty_graph () =
+  List.iter
+    (fun k ->
+      let r =
+        Network.exec
+          ~config:(Network.Config.make ~domains:k ())
+          (Gr.empty 0) flood
+      in
+      check (Printf.sprintf "rounds [domains=%d]" k) 0 r.Network.rounds;
+      check (Printf.sprintf "states [domains=%d]" k) 0
+        (Array.length r.Network.states))
+    [ 1; 2 ]
 
 let test_domains_validation () =
   let g = Gen.path 4 in
@@ -700,11 +787,11 @@ let test_quiescent_round_allocation () =
     true
     (per_round < 100.)
 
-(* The sharded engine without observation is the benchmark hot path: a
-   round must not buffer events or frames (the deferred-observation
-   machinery is for observed runs only), so its marginal allocation is
-   the same small constant as the sequential engine's — not O(messages)
-   of event log, and certainly not O(n). *)
+(* The engine without observation is the benchmark hot path: a round
+   must not buffer events or frames (the deferred-observation machinery
+   is for observed runs only), so at two domains, as at one, its
+   marginal allocation is a small constant — not O(messages) of event
+   log, and certainly not O(n). *)
 let test_parallel_round_allocation () =
   let n = 5_000 in
   let config = Network.Config.make ~domains:2 () in
@@ -720,7 +807,11 @@ let () =
   Alcotest.run "engine-diff"
     [
       ( "old vs new",
-        [ Alcotest.test_case "fixed families" `Quick test_fixed_families ]
+        [
+          Alcotest.test_case "fixed families" `Quick test_fixed_families;
+          Alcotest.test_case "flush threshold crossing" `Quick
+            test_flush_threshold;
+        ]
         @ seeded );
       ( "faulted runs",
         [
@@ -728,6 +819,8 @@ let () =
             test_faulted_domain_invariance;
           Alcotest.test_case "faulted error parity" `Quick
             test_faulted_error_parity;
+          Alcotest.test_case "faulted error releases the pool" `Quick
+            test_faulted_error_releases_pool;
         ] );
       ( "error parity",
         [
@@ -740,6 +833,11 @@ let () =
           Alcotest.test_case "sharded error observation" `Quick
             test_sharded_error_observation;
           Alcotest.test_case "config validation" `Quick test_domains_validation;
+        ] );
+      ( "edge cases",
+        [
+          Alcotest.test_case "init runs once per node" `Quick test_init_once;
+          Alcotest.test_case "empty graph" `Quick test_empty_graph;
         ] );
       ( "allocation",
         [

@@ -141,20 +141,31 @@ let test_persistent_zero_tasks_and_validation () =
   try ignore (Pool.create ~domains:0 ()); Alcotest.fail "expected Invalid_argument"
   with Invalid_argument _ -> ()
 
+(* The same envelope with one party, whose tasks run inline on the
+   caller, as with four: every task runs, the lowest failure wins. *)
 let test_persistent_lowest_error_wins () =
-  let p = Pool.create ~domains:4 () in
-  (try
-     Pool.run p ~tasks:100 (fun i ->
-         if i = 13 || i = 77 then failwith (string_of_int i));
-     Alcotest.fail "expected Task_failed"
-   with Pool.Task_failed { index; exn } ->
-     check "failing index" 13 index;
-     check_bool "inner exception" true (exn = Failure "13"));
-  (* A failed run must leave the pool usable. *)
-  let hits = Array.make 8 false in
-  Pool.run p ~tasks:8 (fun i -> hits.(i) <- true);
-  check_bool "usable after failure" true (Array.for_all Fun.id hits);
-  Pool.shutdown p
+  List.iter
+    (fun domains ->
+      let p = Pool.create ~domains () in
+      let ran = Atomic.make 0 in
+      (try
+         Pool.run p ~tasks:100 (fun i ->
+             Atomic.incr ran;
+             if i = 13 || i = 77 then failwith (string_of_int i));
+         Alcotest.fail "expected Task_failed"
+       with Pool.Task_failed { index; exn } ->
+         check (Printf.sprintf "failing index [domains=%d]" domains) 13 index;
+         check_bool "inner exception" true (exn = Failure "13"));
+      check (Printf.sprintf "every task ran [domains=%d]" domains) 100
+        (Atomic.get ran);
+      (* A failed run must leave the pool usable. *)
+      let hits = Array.make 8 false in
+      Pool.run p ~tasks:8 (fun i -> hits.(i) <- true);
+      check_bool
+        (Printf.sprintf "usable after failure [domains=%d]" domains)
+        true (Array.for_all Fun.id hits);
+      Pool.shutdown p)
+    [ 1; 4 ]
 
 let test_persistent_matches_map () =
   (* The engine's usage shape: slot-indexed buffers merged in index
