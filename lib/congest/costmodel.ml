@@ -5,20 +5,26 @@ type t = {
   trace : Trace.t option;
   round_base : int;
   mutable clock : int;
+  reach : int array;
+      (* [charge_aggregate]'s scratch: [-1], or a reached vertex's tree
+         distance to the root ([-2] while its own walk is open). *)
 }
 
 let create ?bandwidth ?trace ?(round_base = 0) g metrics =
   let bandwidth =
     match bandwidth with Some b -> b | None -> Network.default_bandwidth g
   in
-  { g; bandwidth; metrics; trace; round_base; clock = 0 }
+  {
+    g;
+    bandwidth;
+    metrics;
+    trace;
+    round_base;
+    clock = 0;
+    reach = Array.make (Gr.n g) (-1);
+  }
 
 let bandwidth t = t.bandwidth
-
-let word t =
-  let n = max 2 (Gr.n t.g) in
-  let rec bits_needed k acc = if k <= 1 then acc else bits_needed (k / 2) (acc + 1) in
-  bits_needed (n - 1) 1
 
 let clock t = t.clock
 let now t = t.round_base + t.clock
@@ -64,11 +70,9 @@ let charge_path t path ~bits =
         rest;
       if bits > 0 then t.clock <- t.clock + len + ceil_div bits t.bandwidth - 1
 
-let tree_loads t ~root ~parent ~members ~bits_of ~combining =
-  (* Accumulate per-directed-edge (child -> parent) loads by walking each
-     member to the root; with [combining] a later walk does not re-add
-     bits to an edge already loaded (the fold combines). Returns
-     (loads, depth). *)
+let charge_tree t ~root ~parent ~members ~bits_of =
+  (* Per-directed-edge (child -> parent) loads: each member's payload
+     loads every edge of its walk to the root. *)
   let loads = Hashtbl.create 64 in
   let depth = ref 0 in
   List.iter
@@ -82,33 +86,68 @@ let tree_loads t ~root ~parent ~members ~bits_of ~combining =
         if not (Gr.mem_edge t.g !v p) then raise Not_found;
         let key = (!v, p) in
         let sofar = try Hashtbl.find loads key with Not_found -> 0 in
-        Hashtbl.replace loads key (if combining then max sofar bits else sofar + bits);
+        Hashtbl.replace loads key (sofar + bits);
         incr d;
         v := p
       done;
       if !d > !depth then depth := !d)
     members;
-  (loads, !depth)
-
-let commit_loads t loads =
+  let max_load = Hashtbl.fold (fun _ l acc -> max l acc) loads 0 in
   Hashtbl.iter
     (fun (u, v) l -> Metrics.add_dir_bits t.metrics ~u ~v ~bits:l)
-    loads
-
-let charge_tree t ~root ~parent ~members ~bits_of =
-  let (loads, depth) = tree_loads t ~root ~parent ~members ~bits_of ~combining:false in
-  let max_load = Hashtbl.fold (fun _ l acc -> max l acc) loads 0 in
-  commit_loads t loads;
+    loads;
+  let depth = !depth in
   if max_load > 0 || depth > 0 then
     t.clock <- t.clock + depth + ceil_div max_load t.bandwidth
 
 let charge_aggregate t ~root ~parent ~members ~bits =
-  let (loads, depth) =
-    tree_loads t ~root ~parent ~members ~bits_of:(fun _ -> bits) ~combining:true
+  (* Every edge on some member's walk to the root carries [bits] once, so
+     a walk stops at the first vertex an earlier walk reached, whose
+     distance to the root [reach] already holds: each tree edge is walked,
+     and checked, once. [edges] lists the walked (child, parent) edges,
+     newest first. *)
+  let reach = t.reach in
+  let edges = ref [] in
+  let depth = ref 0 in
+  let walk v0 =
+    let v = ref v0 and steps = ref 0 in
+    while reach.(!v) = -1 do
+      let p = parent !v in
+      if p = !v then invalid_arg "Costmodel: broken tree";
+      if not (Gr.mem_edge t.g !v p) then raise Not_found;
+      reach.(!v) <- -2;
+      edges := (!v, p) :: !edges;
+      incr steps;
+      v := p
+    done;
+    (* A walk that meets itself circles without reaching the root. *)
+    if reach.(!v) = -2 then invalid_arg "Costmodel: broken tree";
+    (* This walk's edges head [edges], the one nearest the stop first. *)
+    let top = reach.(!v) + !steps in
+    let rec settle l d =
+      if d <= top then
+        match l with
+        | (u, _) :: rest ->
+            reach.(u) <- d;
+            settle rest (d + 1)
+        | [] -> assert false
+    in
+    settle !edges (reach.(!v) + 1);
+    if top > !depth then depth := top
   in
-  commit_loads t loads;
-  if depth > 0 || bits > 0 then
-    t.clock <- t.clock + depth + max 0 (ceil_div bits t.bandwidth - 1)
+  reach.(root) <- 0;
+  let reset () =
+    reach.(root) <- -1;
+    List.iter (fun (u, _) -> reach.(u) <- -1) !edges
+  in
+  (match List.iter walk members with
+  | () -> reset ()
+  | exception e ->
+      reset ();
+      raise e);
+  List.iter (fun (u, v) -> Metrics.add_dir_bits t.metrics ~u ~v ~bits) !edges;
+  if !depth > 0 || bits > 0 then
+    t.clock <- t.clock + !depth + max 0 (ceil_div bits t.bandwidth - 1)
 
 let note_edge_bits t e bits = Metrics.add_edge_bits_by_index t.metrics e bits
 let note_dir_bits t ~u ~v bits = Metrics.add_dir_bits t.metrics ~u ~v ~bits

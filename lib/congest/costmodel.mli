@@ -34,9 +34,6 @@ val create :
 val bandwidth : t -> int
 (** The per-edge bits-per-round budget every charge is computed under. *)
 
-val word : t -> int
-(** Bits of one vertex id: [⌈log2 n⌉]. *)
-
 val clock : t -> int
 (** Rounds elapsed so far in charged phases. *)
 
@@ -74,7 +71,12 @@ val charge_tree : t -> root:int -> parent:(int -> int) -> members:int list -> bi
 val charge_aggregate : t -> root:int -> parent:(int -> int) -> members:int list -> bits:int -> unit
 (** Combining aggregation (convergecast of a fold, or a broadcast of one
     value): every tree edge on a member-root path carries [bits] once;
-    takes [depth + ⌈bits/B⌉ - 1] rounds (pipelined in chunks). *)
+    takes [depth + ⌈bits/B⌉ - 1] rounds (pipelined in chunks). Runs in
+    time linear in the edges loaded: a member's walk stops where an
+    earlier one passed.
+    @raise Invalid_argument ["Costmodel: broken tree"] when a walk meets a
+    vertex that is its own parent, or itself, before the root.
+    @raise Not_found when a tree edge is not a graph edge. *)
 
 val note_edge_bits : t -> int -> int -> unit
 (** [note_edge_bits t e bits] adds [bits] to the per-edge tally of the

@@ -18,6 +18,7 @@ type t = {
   checks : bool;
   cost : Costmodel.t;
   part_of : int array;
+  mark : int array;
   parts : (int, Part.t) Hashtbl.t;
   mutable next_id : int;
   stats : stats;
@@ -30,6 +31,7 @@ let create g ~mode ~checks ~cost =
     checks;
     cost;
     part_of = Array.make (Gr.n g) (-1);
+    mark = Array.make (Gr.n g) (-1);
     parts = Hashtbl.create 64;
     next_id = 0;
     stats =
@@ -51,14 +53,19 @@ let part t id =
   | Some p -> p
   | None -> invalid_arg (Printf.sprintf "Merge.part: no alive part %d" id)
 
-let half_of t id =
-  let p = part t id in
-  List.concat_map
+(* The half-embedded edges of part [id] whose inside endpoints are
+   [vertices]: member by member, each member's in ascending neighbour
+   order. This order numbers the apex stubs of the part's embedding. *)
+let half_edges t id vertices =
+  let acc = ref [] in
+  List.iter
     (fun v ->
-      List.filter_map
-        (fun w -> if t.part_of.(w) <> id then Some (v, w) else None)
-        (Array.to_list (Gr.neighbors t.g v)))
-    p.Part.vertices
+      Gr.iter_neighbors t.g v (fun w ->
+          if t.part_of.(w) <> id then acc := (v, w) :: !acc))
+    vertices;
+  List.rev !acc
+
+let half_of t id = half_edges t id (part t id).Part.vertices
 
 let run_checks t p =
   if t.checks then begin
@@ -78,16 +85,12 @@ let install t ?(anchors = []) vertices =
   let id = t.next_id in
   t.next_id <- id + 1;
   List.iter (fun v -> t.part_of.(v) <- id) vertices;
-  let half =
-    List.concat_map
-      (fun v ->
-        List.filter_map
-          (fun w -> if t.part_of.(w) <> id then Some (v, w) else None)
-          (Array.to_list (Gr.neighbors t.g v)))
-      vertices
-  in
+  let half = half_edges t id vertices in
   let classify v = t.part_of.(v) in
-  let p = Part.create t.g ~mode:t.mode ~classify ~half ~id ~vertices ~anchors in
+  let p =
+    Part.create t.g ~mode:t.mode ~classify ~mark:t.mark ~half ~id ~vertices
+      ~anchors
+  in
   Hashtbl.replace t.parts id p;
   run_checks t p;
   id

@@ -34,6 +34,9 @@ type t = {
   checks : bool;
   cost : Costmodel.t;
   part_of : int array;  (** vertex -> part id; [-1] before assignment. *)
+  mark : int array;
+      (** {!Part.create}'s scratch, shared by every part: [-1] between
+          parts. *)
   parts : (int, Part.t) Hashtbl.t;  (** alive parts. *)
   mutable next_id : int;
   stats : stats;

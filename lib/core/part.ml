@@ -35,33 +35,83 @@ let cyclic_runs classify = function
       done;
       max 1 !transitions
 
-let create g ~mode ~classify ~half ~id ~vertices ~anchors =
+(* [create]'s body; [create] restores [mark] however it ends. *)
+let build g ~mode ~classify ~mark ~half ~id ~vertices ~anchors =
   let leader = List.fold_left max (List.hd vertices) vertices in
-  (* Spanning tree over the part plus its anchors (the "split-off copies"
-     of P0 coordinators), rooted at the leader. *)
-  let span_set = List.sort_uniq compare (anchors @ vertices) in
-  let (span_g, old_of_new, new_of_old) = Gr.induced g span_set in
-  let bfs = Traverse.bfs span_g (new_of_old leader) in
-  let tree_parent = Hashtbl.create (List.length span_set) in
+  (* Span positions: member [i] of [vertices] is marked [i], the [j]-th
+     anchor that is not a member [-2 - j] (negative: outside the induced
+     subgraph). *)
+  let members = Array.of_list vertices in
+  let k = Array.length members in
+  Array.iteri
+    (fun i v ->
+      if mark.(v) <> -1 then invalid_arg "Part.create: duplicate vertex";
+      mark.(v) <- i)
+    members;
+  let extra = ref [] and n_extra = ref 0 in
   List.iter
-    (fun v ->
-      let nv = new_of_old v in
-      if bfs.Traverse.dist.(nv) < 0 then
-        invalid_arg
-          (Printf.sprintf "Part.create: part %d is not connected (vertex %d)" id v);
-      Hashtbl.replace tree_parent v old_of_new.(bfs.Traverse.parent.(nv)))
-    span_set;
-  let depth = Traverse.depth bfs in
-  (* Structure of the induced subgraph proper (without anchors). *)
-  let (sub, _, _) = Gr.induced g vertices in
-  let trivial = Gr.m sub = List.length vertices - 1 in
+    (fun a ->
+      if mark.(a) = -1 then begin
+        mark.(a) <- -2 - !n_extra;
+        incr n_extra;
+        extra := a :: !extra
+      end)
+    anchors;
+  let span = Array.append members (Array.of_list (List.rev !extra)) in
+  let pos v =
+    let x = mark.(v) in
+    if x >= 0 then x else k - 2 - x
+  in
+  (* Spanning tree over the part plus its anchors (the "split-off copies"
+     of P0 coordinators), rooted at the leader: a BFS on [g] restricted to
+     the marked vertices. CSR neighbours come in ascending id order, so
+     this is the BFS tree of the span set's induced subgraph under any
+     monotone relabelling. *)
+  let n_span = Array.length span in
+  let dist = Array.make n_span (-1) in
+  let queue = Array.make n_span leader in
+  let tree_parent = Hashtbl.create n_span in
+  Hashtbl.replace tree_parent leader leader;
+  dist.(pos leader) <- 0;
+  let head = ref 0 and tail = ref 1 in
+  while !head < !tail do
+    let v = queue.(!head) in
+    incr head;
+    let d = dist.(pos v) + 1 in
+    Gr.iter_neighbors g v (fun w ->
+        if mark.(w) <> -1 && dist.(pos w) < 0 then begin
+          dist.(pos w) <- d;
+          Hashtbl.replace tree_parent w v;
+          queue.(!tail) <- w;
+          incr tail
+        end)
+  done;
+  if !tail < n_span then begin
+    let unreached = ref max_int in
+    Array.iteri
+      (fun i v -> if dist.(i) < 0 then unreached := min !unreached v)
+      span;
+    invalid_arg
+      (Printf.sprintf "Part.create: part %d is not connected (vertex %d)" id
+         !unreached)
+  end;
+  let depth = dist.(pos queue.(n_span - 1)) in
+  (* Structure of the induced subgraph proper (without anchors), built
+     once for the triviality test, the biconnected decomposition and the
+     constrained embedding. *)
+  let index v = mark.(v) in
+  let sub = Gr.induced_by g ~index members in
+  let trivial = Gr.m sub = k - 1 in
   let dec = Bicon.decompose sub in
   let n_bicon = dec.Bicon.n_components in
   let emb =
     match mode with
     | Economy -> None
     | Faithful -> (
-        match Constrained.embed g ~part:vertices ~half with
+        match
+          Constrained.embed_induced g ~part:vertices
+            ~induced:(sub, members, index) ~half
+        with
         | Some e -> Some e
         | None ->
             raise
@@ -100,6 +150,14 @@ let create g ~mode ~classify ~half ~id ~vertices ~anchors =
     emb;
     iface_bits;
   }
+
+let create g ~mode ~classify ~mark ~half ~id ~vertices ~anchors =
+  let clear v = mark.(v) <- -1 in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter clear vertices;
+      List.iter clear anchors)
+    (fun () -> build g ~mode ~classify ~mark ~half ~id ~vertices ~anchors)
 
 let size t = List.length t.vertices
 let mem t v = Hashtbl.mem t.tree_parent v && not (List.mem v t.anchors)

@@ -48,6 +48,7 @@ val create :
   Gr.t ->
   mode:mode ->
   classify:(int -> int) ->
+  mark:int array ->
   half:(int * int) list ->
   id:int ->
   vertices:int list ->
@@ -58,6 +59,9 @@ val create :
     endpoint's current part id): consecutive half-embedded edges of the
     same class collapse into one compressed interface leaf — the paper's
     "only essential degrees of freedom" compression (its Section 7.1.4).
+    [mark] is scratch of length [Gr.n g], [-1] everywhere on entry and
+    again on return (raising or not): it indexes the part's vertices
+    while its induced subgraph, spanning tree and embedding are built.
     @raise Nonplanar_detected in [Faithful] mode when no embedding places
     all half-embedded edges on one face. *)
 

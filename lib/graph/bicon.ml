@@ -11,12 +11,17 @@ type t = {
   is_cut : bool array;
 }
 
-(* Iterative Tarjan lowpoint algorithm with an explicit edge stack. Each
-   DFS frame records the vertex, its DFS parent and the index of the next
-   neighbor to examine, so deep graphs never overflow the OCaml stack. *)
+(* Iterative Tarjan lowpoint algorithm with an explicit stack of edge
+   indices. Each DFS frame records the vertex, its DFS parent, the index
+   of the tree edge from the parent and the next CSR slot to examine, so
+   deep graphs never overflow the OCaml stack. The slot of a neighbour
+   also gives the shared edge's index ({!Gr.dart_edges}). *)
 let decompose g =
   let n = Gr.n g in
   let m = Gr.m g in
+  let xadj = Gr.dart_offsets g
+  and adjncy = Gr.dart_sources g
+  and dart_edge = Gr.dart_edges g in
   let disc = Array.make n (-1) in
   let low = Array.make n 0 in
   let is_cut = Array.make n false in
@@ -24,41 +29,42 @@ let decompose g =
   let n_components = ref 0 in
   let time = ref 0 in
   let edge_stack = Stack.create () in
-  let pop_component u w =
-    (* Pop edges down to and including (u, w); they form one component. *)
+  let pop_component tree_edge =
+    (* Pop edges down to and including the tree edge; they form one
+       component. *)
     let continue = ref true in
     while !continue do
-      let (a, b) = Stack.pop edge_stack in
-      comp_of_edge.(Gr.edge_index g a b) <- !n_components;
-      if (a, b) = Gr.normalize_edge u w then continue := false
+      let e = Stack.pop edge_stack in
+      comp_of_edge.(e) <- !n_components;
+      if e = tree_edge then continue := false
     done;
     incr n_components
   in
   for start = 0 to n - 1 do
     if disc.(start) < 0 then begin
       let root_children = ref 0 in
-      (* Frame: (vertex, dfs parent, mutable next-neighbor index). *)
+      (* Frame: (vertex, dfs parent, tree edge from the parent, mutable
+         next slot). *)
       let frames = Stack.create () in
       disc.(start) <- !time;
       low.(start) <- !time;
       incr time;
-      Stack.push (start, -1, ref 0) frames;
+      Stack.push (start, -1, -1, ref xadj.(start)) frames;
       while not (Stack.is_empty frames) do
-        let (u, parent, next) = Stack.top frames in
-        let nbrs = Gr.neighbors g u in
-        if !next < Array.length nbrs then begin
-          let w = nbrs.(!next) in
+        let (u, parent, up_edge, next) = Stack.top frames in
+        if !next < xadj.(u + 1) then begin
+          let w = adjncy.(!next) and e = dart_edge.(!next) in
           incr next;
           if disc.(w) < 0 then begin
-            Stack.push (Gr.normalize_edge u w) edge_stack;
+            Stack.push e edge_stack;
             if u = start then incr root_children;
             disc.(w) <- !time;
             low.(w) <- !time;
             incr time;
-            Stack.push (w, u, ref 0) frames
+            Stack.push (w, u, e, ref xadj.(w)) frames
           end
           else if w <> parent && disc.(w) < disc.(u) then begin
-            Stack.push (Gr.normalize_edge u w) edge_stack;
+            Stack.push e edge_stack;
             if disc.(w) < low.(u) then low.(u) <- disc.(w)
           end
         end
@@ -68,7 +74,7 @@ let decompose g =
             if low.(u) < low.(parent) then low.(parent) <- low.(u);
             if low.(u) >= disc.(parent) then begin
               if parent <> start then is_cut.(parent) <- true;
-              pop_component parent u
+              pop_component up_edge
             end
           end
         end
@@ -99,17 +105,18 @@ let decompose g =
   let count_by_vertex pass_list =
     Array.fill stamp 0 (max 1 k) (-1);
     for v = 0 to n - 1 do
-      Gr.iter_neighbors g v (fun u ->
-          let c = comp_of_edge.(Gr.edge_index g v u) in
-          if stamp.(c) <> v then begin
-            stamp.(c) <- v;
-            match pass_list with
-            | None ->
-                vertex_comp_offsets.(v + 1) <- vertex_comp_offsets.(v + 1) + 1
-            | Some (fill, list) ->
-                list.(fill.(v)) <- c;
-                fill.(v) <- fill.(v) + 1
-          end)
+      for i = xadj.(v) to xadj.(v + 1) - 1 do
+        let c = comp_of_edge.(dart_edge.(i)) in
+        if stamp.(c) <> v then begin
+          stamp.(c) <- v;
+          match pass_list with
+          | None ->
+              vertex_comp_offsets.(v + 1) <- vertex_comp_offsets.(v + 1) + 1
+          | Some (fill, list) ->
+              list.(fill.(v)) <- c;
+              fill.(v) <- fill.(v) + 1
+        end
+      done
     done
   in
   count_by_vertex None;

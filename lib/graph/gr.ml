@@ -68,34 +68,49 @@ let of_edge_list_owned ~n edge_list =
   in
   { n; xadj; adjncy; dart_uedge; dart_rev; edge_list; adj }
 
+(* [order] stably sorted by [key.(i)], a vertex id: one counting sort. *)
+let sort_by_vertex ~n (key : int array) (order : int array) =
+  let start = Array.make (n + 1) 0 in
+  Array.iter (fun i -> start.(key.(i) + 1) <- start.(key.(i) + 1) + 1) order;
+  for k = 1 to n do
+    start.(k) <- start.(k) + start.(k - 1)
+  done;
+  let sorted = Array.make (Array.length order) 0 in
+  Array.iter
+    (fun i ->
+      let k = key.(i) in
+      sorted.(start.(k)) <- i;
+      start.(k) <- start.(k) + 1)
+    order;
+  sorted
+
 let of_edges ~n edges =
-  let raw =
-    Array.of_list
-      (List.map
-         (fun (u, v) ->
-           check_vertex n u;
-           check_vertex n v;
-           normalize_edge u v)
-         edges)
+  let raw = List.length edges in
+  let lo = Array.make raw 0 and hi = Array.make raw 0 in
+  List.iteri
+    (fun i (u, v) ->
+      check_vertex n u;
+      check_vertex n v;
+      let (a, b) = normalize_edge u v in
+      lo.(i) <- a;
+      hi.(i) <- b)
+    edges;
+  (* Lexicographic order in O(n + m): by [hi], then stably by [lo]. *)
+  let order =
+    sort_by_vertex ~n lo (sort_by_vertex ~n hi (Array.init raw Fun.id))
   in
-  Array.sort compare raw;
-  let m =
-    let cnt = ref 0 in
-    Array.iteri
-      (fun i e -> if i = 0 || raw.(i - 1) <> e then incr cnt)
-      raw;
-    !cnt
-  in
-  let edge_list = Array.make m (0, 0) in
-  let j = ref 0 in
-  Array.iteri
-    (fun i e ->
-      if i = 0 || raw.(i - 1) <> e then begin
-        edge_list.(!j) <- e;
-        incr j
-      end)
-    raw;
-  of_edge_list_owned ~n edge_list
+  (* Dedup in place: [order.(0 .. m-1)] holds the distinct edges so far. *)
+  let m = ref 0 in
+  for j = 0 to raw - 1 do
+    let i = order.(j) in
+    if !m = 0 || lo.(i) <> lo.(order.(!m - 1)) || hi.(i) <> hi.(order.(!m - 1))
+    then begin
+      order.(!m) <- i;
+      incr m
+    end
+  done;
+  of_edge_list_owned ~n
+    (Array.init !m (fun j -> (lo.(order.(j)), hi.(order.(j)))))
 
 let of_normalized_sorted_unchecked ~n edge_list = of_edge_list_owned ~n edge_list
 
@@ -167,6 +182,16 @@ let edge_index t u v =
 
 let edge_of_index t i = t.edge_list.(i)
 
+let induced_by t ~index old_of_new =
+  let sub_edges = ref [] in
+  Array.iteri
+    (fun i v ->
+      iter_neighbors t v (fun w ->
+          let j = index w in
+          if j > i then sub_edges := (i, j) :: !sub_edges))
+    old_of_new;
+  of_edges ~n:(Array.length old_of_new) !sub_edges
+
 let induced t vs =
   let k = List.length vs in
   let old_of_new = Array.of_list vs in
@@ -177,18 +202,8 @@ let induced t vs =
       if Hashtbl.mem new_idx v then invalid_arg "Gr.induced: duplicate vertex";
       Hashtbl.replace new_idx v i)
     old_of_new;
-  let sub_edges = ref [] in
-  Array.iteri
-    (fun i v ->
-      Array.iter
-        (fun w ->
-          match Hashtbl.find_opt new_idx w with
-          | Some j when i < j -> sub_edges := (i, j) :: !sub_edges
-          | Some _ | None -> ())
-        t.adj.(v))
-    old_of_new;
-  let h = of_edges ~n:k !sub_edges in
-  (h, old_of_new, fun v -> Hashtbl.find new_idx v)
+  let index w = match Hashtbl.find_opt new_idx w with Some j -> j | None -> -1 in
+  (induced_by t ~index old_of_new, old_of_new, fun v -> Hashtbl.find new_idx v)
 
 let add_edges t extra =
   of_edges ~n:t.n (extra @ Array.to_list t.edge_list)

@@ -22,18 +22,18 @@ val normalize_edge : int -> int -> edge
 
 val of_edges : n:int -> (int * int) list -> t
 (** [of_edges ~n edges] builds the graph with [n] vertices and the given
-    edges. Duplicate edges are collapsed.
+    edges. Duplicate edges are collapsed. Runs in [O(n + m)]: two stable
+    counting sorts put the normalized edges in lexicographic order.
     @raise Invalid_argument on self-loops or out-of-range endpoints. *)
 
 val of_normalized_sorted_unchecked : n:int -> edge array -> t
 (** CSR assembly from an edge array the caller guarantees is already
     normalized ([u < v]), lexicographically sorted, duplicate-free, and
-    in range — the O(m log m) polymorphic sort and dedup of
-    {!of_edges} are skipped and the array is owned by the graph
-    afterwards. The incremental maintainer's scoped re-runs sit on this
-    path: it rebuilds a scope subgraph per update, where the generic
-    constructor's sort dominated the kernel itself. Violating the
-    contract silently corrupts the dart tables. *)
+    in range — the validation, sorts and dedup of {!of_edges} are
+    skipped and the array is owned by the graph afterwards. The
+    incremental maintainer's scoped re-runs sit on this path: it rebuilds
+    a scope subgraph per update. Violating the contract silently corrupts
+    the dart tables. *)
 
 val empty : int -> t
 (** [empty n] is the edgeless graph on [n] vertices. *)
@@ -133,6 +133,14 @@ val induced : t -> int list -> t * int array * (int -> int)
     list [vs], as [(h, old_of_new, new_of_old)]: vertex [i] of [h]
     corresponds to [old_of_new.(i)] in [g], and [new_of_old v] maps a [g]
     vertex to its [h] index (or raises [Not_found] if [v] is not in [vs]). *)
+
+val induced_by : t -> index:(int -> int) -> int array -> t
+(** [induced_by g ~index old_of_new] is the subgraph induced by the
+    vertices of [old_of_new], vertex [i] standing for [old_of_new.(i)]:
+    the first component of {!induced}. [index v] must be [v]'s position in
+    [old_of_new] for those vertices and negative for every other vertex;
+    it lets a caller that already keeps such an index (a reusable stamp
+    array, say) skip building one. *)
 
 val add_edges : t -> (int * int) list -> t
 (** A copy of the graph with the given extra edges (duplicates collapsed). *)

@@ -6,19 +6,16 @@ type t = {
   outer : (int * int) list;
 }
 
-let embed g ~part ~half =
-  let in_part = Hashtbl.create (List.length part) in
-  List.iter (fun v -> Hashtbl.replace in_part v ()) part;
+let embed_induced g ~part ~induced:(h, old_of_new, index) ~half =
   List.iter
     (fun (u, v) ->
       if not (Gr.mem_edge g u v) then
         invalid_arg "Constrained.embed: half edge is not a graph edge";
-      if not (Hashtbl.mem in_part u) then
+      if index u < 0 then
         invalid_arg "Constrained.embed: half edge inside endpoint not in part";
-      if Hashtbl.mem in_part v then
+      if index v >= 0 then
         invalid_arg "Constrained.embed: half edge outside endpoint in part")
     half;
-  let (h, old_of_new, new_of_old) = Gr.induced g part in
   let p = Gr.n h in
   let k = List.length half in
   let half_arr = Array.of_list half in
@@ -29,17 +26,14 @@ let embed g ~part ~half =
     else
       Gr.union_vertices h ~more:(k + 1)
         (List.concat
-           (List.mapi
-              (fun i (u, _v) -> [ (new_of_old u, p + i); (p + i, apex) ])
-              half))
+           (List.mapi (fun i (u, _v) -> [ (index u, p + i); (p + i, apex) ]) half))
   in
   match Planarity.embed aug with
   | Planarity.Nonplanar -> None
   | Planarity.Planar r ->
       let rot = Hashtbl.create p in
-      List.iter
-        (fun v ->
-          let nv = new_of_old v in
+      Array.iteri
+        (fun nv v ->
           let items =
             Array.map
               (fun w ->
@@ -52,7 +46,7 @@ let embed g ~part ~half =
               (Rotation.rotation r nv)
           in
           Hashtbl.replace rot v items)
-        part;
+        old_of_new;
       let outer =
         if k = 0 then []
         else
@@ -60,6 +54,11 @@ let embed g ~part ~half =
             (Array.map (fun s -> half_arr.(s - p)) (Rotation.rotation r apex))
       in
       Some { part; rot; outer }
+
+let embed g ~part ~half =
+  let (h, old_of_new, new_of_old) = Gr.induced g part in
+  let index v = try new_of_old v with Not_found -> -1 in
+  embed_induced g ~part ~induced:(h, old_of_new, index) ~half
 
 let rotation_of_full t g =
   let n = Gr.n g in

@@ -36,6 +36,17 @@ val embed : Gr.t -> part:int list -> half:(int * int) list -> t option
     planar. [half] must list edges of [g] with exactly their inside
     endpoint in [part]; @raise Invalid_argument otherwise. *)
 
+val embed_induced :
+  Gr.t ->
+  part:int list ->
+  induced:Gr.t * int array * (int -> int) ->
+  half:(int * int) list ->
+  t option
+(** {!embed} for a caller that already holds the part's induced subgraph:
+    [induced] is [(h, old_of_new, index)] as {!Gr.induced}[ g part]
+    returns it, except that [index v] is negative, not raising, for [v]
+    outside the part. [half] is validated as in {!embed}. *)
+
 val rotation_of_full : t -> Gr.t -> Rotation.t
 (** When the part covers the whole (connected) graph — so there are no
     half-embedded edges — extract the plain rotation system.

@@ -279,6 +279,101 @@ let test_charge_aggregate () =
   check "edge 0-1" 8 (Metrics.edge_bits m (Gr.edge_index g 0 1));
   check "rounds" 4 (Costmodel.clock c)
 
+(* Reference for [charge_aggregate]: walk every member to the root on its
+   own, collect the directed edges (child -> parent) the walks cross and
+   the longest walk. Every collected edge carries [bits] once. *)
+let naive_aggregate ~root ~parent ~members ~bits ~bandwidth =
+  let loaded = Hashtbl.create 16 in
+  let depth = ref 0 in
+  List.iter
+    (fun v0 ->
+      let d = ref 0 and v = ref v0 in
+      while !v <> root do
+        Hashtbl.replace loaded (!v, parent !v) ();
+        incr d;
+        v := parent !v
+      done;
+      depth := max !depth !d)
+    members;
+  let rounds =
+    if !depth > 0 || bits > 0 then
+      !depth + max 0 (((bits + bandwidth - 1) / bandwidth) - 1)
+    else 0
+  in
+  (Hashtbl.fold (fun (u, v) () acc -> (u, v, bits) :: acc) loaded [], rounds)
+
+let dir_tallies m =
+  let acc = ref [] in
+  Metrics.iter_dir m (fun ~src ~dst ~bits ~messages:_ ~burst:_ ->
+      acc := (src, dst, bits) :: !acc);
+  List.sort compare !acc
+
+let prop_charge_aggregate_matches_naive =
+  QCheck.Test.make
+    ~name:"charge_aggregate matches a naive per-member walk" ~count:60
+    QCheck.(pair (int_range 0 100000) (int_range 2 60))
+    (fun (seed, n) ->
+      let rng = Random.State.make [| seed |] in
+      let g =
+        Gen.random_planar ~seed ~n ~m:(max (n - 1) (min ((3 * n) - 6) (2 * n)))
+      in
+      let bandwidth = 1 + Random.State.int rng 20 in
+      let m = Metrics.create g and expect = Metrics.create g in
+      let c = Costmodel.create ~bandwidth g m in
+      let clock = ref 0 in
+      (* Several charges on one cost model, with fresh roots, trees and
+         member sets, so a walk's memo must not leak into the next. *)
+      for _ = 1 to 4 do
+        let root = Random.State.int rng n in
+        let bt = Traverse.bfs g root in
+        let parent v = bt.Traverse.parent.(v) in
+        let members =
+          List.filter
+            (fun v -> v = root || Random.State.int rng 3 = 0)
+            (List.init n Fun.id)
+        in
+        let members =
+          if Random.State.bool rng then members
+          else List.filter (fun v -> v <> root) members
+        in
+        let bits =
+          if Random.State.int rng 4 = 0 then 0 else Random.State.int rng 50
+        in
+        let (loads, rounds) =
+          naive_aggregate ~root ~parent ~members ~bits ~bandwidth
+        in
+        List.iter
+          (fun (u, v, b) -> Metrics.add_dir_bits expect ~u ~v ~bits:b)
+          loads;
+        clock := !clock + rounds;
+        Costmodel.charge_aggregate c ~root ~parent ~members ~bits
+      done;
+      Costmodel.clock c = !clock
+      && dir_tallies m = dir_tallies expect
+      && Metrics.total_bits m = Metrics.total_bits expect)
+
+let test_charge_aggregate_errors () =
+  let g = Gen.path 5 in
+  let m = Metrics.create g in
+  let c = Costmodel.create ~bandwidth:4 g m in
+  let bt = Traverse.bfs g 0 in
+  let parent v = bt.Traverse.parent.(v) in
+  Alcotest.check_raises "broken tree" (Invalid_argument "Costmodel: broken tree")
+    (fun () ->
+      Costmodel.charge_aggregate c ~root:0
+        ~parent:(fun v -> if v = 2 then 2 else parent v)
+        ~members:[ 1; 4 ] ~bits:8);
+  Alcotest.check_raises "non-edge" Not_found (fun () ->
+      Costmodel.charge_aggregate c ~root:0
+        ~parent:(fun v -> if v = 3 then 1 else parent v)
+        ~members:[ 1; 4 ] ~bits:8);
+  (* A failed charge leaves no trace, and the next one is exact. *)
+  check "no rounds after errors" 0 (Costmodel.clock c);
+  check "no bits after errors" 0 (Metrics.total_bits m);
+  Costmodel.charge_aggregate c ~root:0 ~parent ~members:[ 4; 2 ] ~bits:8;
+  check "rounds" 5 (Costmodel.clock c);
+  check "bits" 32 (Metrics.total_bits m)
+
 let test_branch_max () =
   let g = Gen.path 6 in
   let m = Metrics.create g in
@@ -325,6 +420,9 @@ let () =
           Alcotest.test_case "tree gather" `Quick test_charge_tree_gather;
           Alcotest.test_case "tree loads" `Quick test_charge_tree_loads_add_up;
           Alcotest.test_case "aggregate" `Quick test_charge_aggregate;
+          QCheck_alcotest.to_alcotest prop_charge_aggregate_matches_naive;
+          Alcotest.test_case "aggregate errors" `Quick
+            test_charge_aggregate_errors;
           Alcotest.test_case "branch max" `Quick test_branch_max;
         ] );
     ]

@@ -53,6 +53,70 @@ let test_half_edges () =
   let h0 = List.sort compare (Partition.half_edges g ~part_of 0) in
   Alcotest.(check (list (pair int int))) "half edges" [ (0, 3); (1, 2) ] h0
 
+(* Part construction against the way it used to be derived: a BFS on the
+   subgraph induced by the sorted span set (part plus anchors), and the
+   structure of the part's own induced subgraph. Parts are BFS balls of
+   random planar graphs; anchors are random outside neighbours. *)
+let prop_part_matches_induced_reference =
+  QCheck.Test.make ~name:"part tree and structure match an induced-BFS reference"
+    ~count:80
+    QCheck.(pair (int_range 0 100000) (int_range 4 60))
+    (fun (seed, n) ->
+      let rng = Random.State.make [| seed |] in
+      let m = max (n - 1) (min ((3 * n) - 6) (2 * n)) in
+      let g = Gen.random_planar ~seed ~n ~m in
+      let bt = Traverse.bfs g (Random.State.int rng n) in
+      let size = 1 + Random.State.int rng (n - 1) in
+      let vertices =
+        List.filteri (fun i _ -> i < size) (Array.to_list bt.Traverse.order)
+      in
+      let in_part v = List.mem v vertices in
+      let half =
+        List.concat_map
+          (fun v ->
+            List.filter_map
+              (fun w -> if in_part w then None else Some (v, w))
+              (Array.to_list (Gr.neighbors g v)))
+          vertices
+      in
+      let anchors =
+        List.sort_uniq compare
+          (List.filter_map
+             (fun (_, w) -> if Random.State.bool rng then Some w else None)
+             half)
+      in
+      let mark = Array.make n (-1) in
+      let p =
+        Part.create g ~mode:Part.Economy ~classify:Fun.id ~mark ~half ~id:0
+          ~vertices ~anchors
+      in
+      let span = List.sort_uniq compare (anchors @ vertices) in
+      let (h, old_of_new, new_of_old) = Gr.induced g span in
+      let rt = Traverse.bfs h (new_of_old p.Part.leader) in
+      let (sub, _, _) = Gr.induced g vertices in
+      Array.for_all (fun x -> x = -1) mark
+      && p.Part.leader = List.fold_left max 0 vertices
+      && p.Part.depth = Traverse.depth rt
+      && List.for_all
+           (fun v ->
+             Part.parent_fn p v = old_of_new.(rt.Traverse.parent.(new_of_old v)))
+           span
+      && Hashtbl.length p.Part.tree_parent = List.length span
+      && p.Part.trivial = (Gr.m sub = List.length vertices - 1)
+      && p.Part.n_bicon = (Bicon.decompose sub).Bicon.n_components)
+
+let test_part_not_connected () =
+  let g = Gen.path 6 in
+  let mark = Array.make 6 (-1) in
+  Alcotest.check_raises "disconnected part"
+    (Invalid_argument "Part.create: part 7 is not connected (vertex 0)")
+    (fun () ->
+      ignore
+        (Part.create g ~mode:Part.Faithful ~classify:Fun.id ~mark ~half:[]
+           ~id:7 ~vertices:[ 4; 5; 1; 0 ] ~anchors:[ 2 ]));
+  check_bool "scratch cleared after the error" true
+    (Array.for_all (fun x -> x = -1) mark)
+
 (* ------------------------------------------------------------------ *)
 (* Decomposition (Section 4)                                           *)
 (* ------------------------------------------------------------------ *)
@@ -274,6 +338,109 @@ let test_relabeling_invariance () =
   check_bool "same verdict" true
     ((og.Embedder.rotation <> None) = (oh.Embedder.rotation <> None))
 
+(* ------------------------------------------------------------------ *)
+(* Golden outputs                                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* The embedder's rounds and bits are the reproduced Theorem 1.1 numbers,
+   so a change to how parts are built or charged must leave them exactly
+   as they are. Each row pins one (instance, mode) run: rounds,
+   total_bits, max_edge_bits, iface_bits_shipped, the four merge counters,
+   retired_parts, and one digest of the rotation (or its absence) plus
+   every per-edge bit tally. On a mismatch the test prints the observed
+   row in the table's own syntax. *)
+let golden_instances =
+  [
+    ("grid7x9", fun () -> Gen.grid 7 9);
+    ( "grid10x10-relabelled",
+      fun () -> Gr.relabel (Gen.grid 10 10) (Gen.random_permutation ~seed:3 100)
+    );
+    ("maxplanar120", fun () -> Gen.random_maximal_planar ~seed:7 120);
+    ("planar90", fun () -> Gen.random_planar ~seed:11 ~n:90 ~m:160);
+    ("trigrid6x7", fun () -> Gen.triangular_grid 6 7);
+    ("k4subdiv6", fun () -> Gen.k4_subdivision 6);
+    ( "outerplanar80",
+      fun () -> Gen.random_outerplanar ~seed:5 ~n:80 ~chord_prob:0.4 );
+    ("torus6x6", fun () -> Gen.toroidal_grid 6 6);
+  ]
+
+let golden_row g mode =
+  let o = Embedder.run ~mode g in
+  let r = o.Embedder.report in
+  let buf = Buffer.create 1024 in
+  (match o.Embedder.rotation with
+  | None -> Buffer.add_string buf "nonplanar;"
+  | Some rot ->
+      for v = 0 to Gr.n g - 1 do
+        Array.iter
+          (fun w -> Buffer.add_string buf (string_of_int w ^ ","))
+          (Rotation.rotation rot v);
+        Buffer.add_char buf ';'
+      done);
+  for e = 0 to Gr.m g - 1 do
+    Buffer.add_string buf
+      (string_of_int (Metrics.edge_bits r.Embedder.metrics e) ^ ",")
+  done;
+  [|
+    r.Embedder.rounds;
+    r.Embedder.total_bits;
+    r.Embedder.max_edge_bits;
+    r.Embedder.iface_bits_shipped;
+    r.Embedder.merges_pairwise;
+    r.Embedder.merges_star;
+    r.Embedder.merges_vertex;
+    r.Embedder.merges_path;
+    r.Embedder.retired_parts;
+  |],
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let golden_table =
+  [
+    ("grid7x9", "faithful", [| 501; 60518; 1662; 1720; 1; 3; 2; 16; 14 |], "1267e9dc92749edc570dcd0cfc84dfb2");
+    ("grid7x9", "economy", [| 484; 44586; 1074; 768; 1; 3; 2; 16; 14 |], "4dc96bdcfc917c0b3320cc1f2557f890");
+    ("grid10x10-relabelled", "faithful", [| 566; 118955; 2044; 3446; 0; 13; 16; 24; 15 |], "3950a2bc2ee5e3e562b3cac988bcb2bc");
+    ("grid10x10-relabelled", "economy", [| 560; 97179; 1596; 2630; 0; 13; 16; 24; 15 |], "425b0a8b68f7483d7e789511af1ba739");
+    ("maxplanar120", "faithful", [| 289; 209587; 2959; 8656; 1; 2; 20; 12; 31 |], "3f33f8ee5e919cf995980df63f5a043e");
+    ("maxplanar120", "economy", [| 239; 102819; 1109; 5376; 1; 2; 20; 12; 31 |], "f1a41bbdd43cbc61bb64d3089e0cc7c0");
+    ("planar90", "faithful", [| 268; 88742; 1893; 3158; 0; 2; 10; 13; 39 |], "4fad95cab78692947e3bfe76be6c8697");
+    ("planar90", "economy", [| 262; 71382; 1221; 2678; 0; 2; 10; 13; 39 |], "82faa6cbf5dc046bd2dd832ff74159e9");
+    ("trigrid6x7", "faithful", [| 233; 40784; 1512; 1220; 0; 2; 5; 11; 9 |], "4751293587e59ef802c875909b2c0569");
+    ("trigrid6x7", "economy", [| 224; 29766; 952; 786; 0; 2; 5; 11; 9 |], "532978c590b5d93e94754e3ec68b68d9");
+    ("k4subdiv6", "faithful", [| 250; 18610; 992; 438; 0; 1; 1; 8; 10 |], "90258db725423c211a31110f96168485");
+    ("k4subdiv6", "economy", [| 250; 18610; 992; 438; 0; 1; 1; 8; 10 |], "90258db725423c211a31110f96168485");
+    ("outerplanar80", "faithful", [| 474; 64206; 1321; 1968; 0; 5; 14; 18; 20 |], "1c428ebff643c4873e453ab2fb945a9b");
+    ("outerplanar80", "economy", [| 474; 64206; 1321; 1968; 0; 5; 14; 18; 20 |], "1c428ebff643c4873e453ab2fb945a9b");
+    ("torus6x6", "faithful", [| 127; 13528; 870; 594; 0; 1; 2; 4; 3 |], "968a694d80a3e72654258c613e8aabf4");
+    ("torus6x6", "economy", [| 192; 21134; 760; 972; 0; 1; 6; 11; 10 |], "d548d9873599de0aeddd79aa77c539ed");
+  ]
+
+let test_golden_outputs () =
+  let failures = ref 0 in
+  List.iter
+    (fun (name, make) ->
+      let g = make () in
+      List.iter
+        (fun (mode, mode_name) ->
+          let (fields, digest) = golden_row g mode in
+          let show =
+            Printf.sprintf "(%S, %S, [| %s |], %S);" name mode_name
+              (String.concat "; "
+                 (Array.to_list (Array.map string_of_int fields)))
+              digest
+          in
+          match
+            List.find_opt
+              (fun (n, m, _, _) -> n = name && m = mode_name)
+              golden_table
+          with
+          | Some (_, _, f, d) when f = fields && d = digest -> ()
+          | _ ->
+              incr failures;
+              print_endline show)
+        [ (Part.Faithful, "faithful"); (Part.Economy, "economy") ])
+    golden_instances;
+  check "rows differing from the golden table" 0 !failures
+
 let () =
   Alcotest.run "embedder"
     [
@@ -284,6 +451,8 @@ let () =
           Alcotest.test_case "merge safety (fig 6)" `Quick
             test_merge_safety_figure6;
           Alcotest.test_case "half edges" `Quick test_half_edges;
+          QCheck_alcotest.to_alcotest prop_part_matches_induced_reference;
+          Alcotest.test_case "part not connected" `Quick test_part_not_connected;
         ] );
       ( "decompose",
         [
@@ -304,6 +473,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_economy_same_verdict_and_costs_close;
           Alcotest.test_case "report sanity" `Quick test_report_sanity;
           Alcotest.test_case "relabeling" `Quick test_relabeling_invariance;
+          Alcotest.test_case "golden outputs" `Quick test_golden_outputs;
         ] );
       ( "complexity-shape",
         [

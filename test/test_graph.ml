@@ -23,6 +23,45 @@ let test_out_of_range_rejected () =
      Alcotest.fail "expected Invalid_argument"
    with Invalid_argument _ -> ())
 
+(* [of_edges] against a reference: normalize, sort, dedup, then the
+   unchecked CSR assembly. Random lists repeat edges and give them in both
+   orientations. *)
+let prop_of_edges_matches_sorted_reference =
+  QCheck.Test.make ~name:"of_edges matches sort-and-dedup reference"
+    ~count:200
+    QCheck.(pair (int_range 0 100000) (int_range 1 40))
+    (fun (seed, n) ->
+      let rng = Random.State.make [| seed |] in
+      let len = Random.State.int rng (4 * n) in
+      let edges =
+        List.filter_map
+          (fun _ ->
+            let u = Random.State.int rng n and v = Random.State.int rng n in
+            if u = v then None else Some (u, v))
+          (List.init len Fun.id)
+      in
+      let edges =
+        edges
+        @ List.map (fun (u, v) -> (v, u))
+            (List.filteri (fun i _ -> i mod 3 = 0) edges)
+      in
+      let g = Gr.of_edges ~n edges in
+      let r =
+        Gr.of_normalized_sorted_unchecked ~n
+          (Array.of_list
+             (List.sort_uniq compare
+                (List.map (fun (u, v) -> Gr.normalize_edge u v) edges)))
+      in
+      Gr.n g = n
+      && Gr.edges g = Gr.edges r
+      && Gr.dart_offsets g = Gr.dart_offsets r
+      && Gr.dart_sources g = Gr.dart_sources r
+      && Gr.dart_edges g = Gr.dart_edges r
+      && Gr.dart_reversals g = Gr.dart_reversals r
+      && List.for_all
+           (fun v -> Gr.neighbors g v = Gr.neighbors r v)
+           (List.init n Fun.id))
+
 let test_neighbors_sorted () =
   let g = Gr.of_edges ~n:5 [ (2, 4); (2, 0); (2, 3); (2, 1) ] in
   Alcotest.(check (array int)) "sorted" [| 0; 1; 3; 4 |] (Gr.neighbors g 2)
@@ -595,6 +634,7 @@ let () =
           Alcotest.test_case "dedup" `Quick test_of_edges_dedup;
           Alcotest.test_case "self-loop" `Quick test_self_loop_rejected;
           Alcotest.test_case "range" `Quick test_out_of_range_rejected;
+          QCheck_alcotest.to_alcotest prop_of_edges_matches_sorted_reference;
           Alcotest.test_case "sorted" `Quick test_neighbors_sorted;
           Alcotest.test_case "mem_edge" `Quick test_mem_edge;
           Alcotest.test_case "edge_index" `Quick test_edge_index_roundtrip;
