@@ -96,7 +96,7 @@ let maxplanar_plus_edge n =
   while Gr.mem_edge g 0 !v do
     incr v
   done;
-  Gr.add_edges g [ (0, !v) ]
+  Gr.union_vertices g ~more:0 [ (0, !v) ]
 
 let cases quick =
   let mp = if quick then [ 500; 2000 ] else [ 500; 2000; 8000; 30000 ] in

@@ -260,7 +260,7 @@ let triangulate_faces st =
 let finalize st r =
   let g = Rotation.graph r in
   let n = Gr.n g in
-  let g' = Gr.of_edges ~n (Gr.edges g @ List.rev st.added) in
+  let g' = Gr.union_vertices g ~more:0 st.added in
   let rot =
     Array.init n (fun v ->
         if st.first.(v) = -1 then [||]

@@ -71,7 +71,7 @@ let triangular_grid rows cols =
       diags := (id r c, id (r + 1) (c + 1)) :: !diags
     done
   done;
-  Gr.add_edges g !diags
+  Gr.union_vertices g ~more:0 !diags
 
 let toroidal_grid rows cols =
   if rows < 3 || cols < 3 then invalid_arg "Gen.toroidal_grid: need dims >= 3";
@@ -218,7 +218,7 @@ let random_outerplanar ~seed ~n ~chord_prob =
   let kept =
     List.filter (fun _ -> Random.State.float rng 1.0 < chord_prob) !chords
   in
-  Gr.add_edges (cycle n) kept
+  Gr.union_vertices (cycle n) ~more:0 kept
 
 let random_graph ~seed ~n ~m =
   let rng = state seed in

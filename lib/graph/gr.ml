@@ -1,23 +1,22 @@
 type edge = int * int
 
-(* The core representation is CSR (compressed sparse row): [xadj] holds
-   the n+1 slice offsets, [adjncy] the 2m neighbor ids (each slice
-   sorted ascending). A {e dart} is a directed edge; its dense id is its
-   slot in [adjncy], so the darts pointing {e into} a vertex [v] are the
+(* The representation is CSR (compressed sparse row): [xadj] holds the
+   n+1 slice offsets, [adjncy] the 2m neighbor ids (each slice sorted
+   ascending). A {e dart} is a directed edge; its dense id is its slot in
+   [adjncy], so the darts pointing {e into} a vertex [v] are the
    contiguous range [xadj.(v) .. xadj.(v+1) - 1], ordered by source id —
    exactly the delivery order the CONGEST engine guarantees.
-   [dart_uedge] maps each dart to the dense index of its undirected edge
-   in [edge_list]. [adj] materializes the per-vertex neighbor arrays for
-   the legacy [neighbors] accessor (owned by the graph, like the CSR
-   arrays). *)
+   [dart_uedge] maps each dart to the dense index of its undirected edge;
+   edges are numbered in lexicographic order, and [edge_dart.(e)] names
+   edge [(u, v)], [u < v], by its dart [u -> v] (the slot holding [u] in
+   [v]'s slice). Every array is owned by the graph. *)
 type t = {
   n : int;
   xadj : int array;
   adjncy : int array;
   dart_uedge : int array;
   dart_rev : int array;  (* the opposite dart: rev of u -> v is v -> u *)
-  edge_list : edge array;
-  adj : int array array;
+  edge_dart : int array;
 }
 
 let normalize_edge u v =
@@ -28,15 +27,56 @@ let check_vertex n v =
   if v < 0 || v >= n then
     invalid_arg (Printf.sprintf "Gr: vertex %d out of range [0, %d)" v n)
 
-(* CSR assembly from a lex-sorted, duplicate-free, normalized edge
-   array; the array is kept as [edge_list] (ownership transfers). *)
-let of_edge_list_owned ~n edge_list =
+(* The pairs [(key.(i), other.(i))], [i < raw], stably sorted by [key]. *)
+let sort_by_vertex ~n ~raw key other =
+  let start = Array.make (n + 1) 0 in
+  for i = 0 to raw - 1 do
+    start.(key.(i) + 1) <- start.(key.(i) + 1) + 1
+  done;
+  for k = 1 to n do
+    start.(k) <- start.(k) + start.(k - 1)
+  done;
+  let key' = Array.make raw 0 and other' = Array.make raw 0 in
+  for i = 0 to raw - 1 do
+    let k = key.(i) in
+    let j = start.(k) in
+    key'.(j) <- k;
+    other'.(j) <- other.(i);
+    start.(k) <- j + 1
+  done;
+  (key', other')
+
+(* The one assembly core behind every constructor: the graph on [n]
+   vertices whose edges are the pairs [(a.(i), b.(i))], [i < raw], given
+   in any orientation and order, duplicates allowed. Checks every pair,
+   normalizes [a] and [b] in place, and runs in O(n + raw). *)
+let assemble ~n ~raw a b =
+  for i = 0 to raw - 1 do
+    let u = a.(i) and v = b.(i) in
+    check_vertex n u;
+    check_vertex n v;
+    if u = v then invalid_arg "Gr.normalize_edge: self-loop";
+    if u > v then begin
+      a.(i) <- v;
+      b.(i) <- u
+    end
+  done;
+  (* Lexicographic order in O(n + raw): by [hi], then stably by [lo]. *)
+  let (hi, lo) = sort_by_vertex ~n ~raw b a in
+  let (lo, hi) = sort_by_vertex ~n ~raw lo hi in
+  (* Dedup in place into [lo, hi.(0 .. m-1)], counting degrees. *)
   let xadj = Array.make (n + 1) 0 in
-  Array.iter
-    (fun (u, v) ->
+  let m = ref 0 in
+  for j = 0 to raw - 1 do
+    let u = lo.(j) and v = hi.(j) in
+    if !m = 0 || u <> lo.(!m - 1) || v <> hi.(!m - 1) then begin
+      lo.(!m) <- u;
+      hi.(!m) <- v;
+      incr m;
       xadj.(u + 1) <- xadj.(u + 1) + 1;
-      xadj.(v + 1) <- xadj.(v + 1) + 1)
-    edge_list;
+      xadj.(v + 1) <- xadj.(v + 1) + 1
+    end
+  done;
   for v = 0 to n - 1 do
     xadj.(v + 1) <- xadj.(v + 1) + xadj.(v)
   done;
@@ -44,81 +84,34 @@ let of_edge_list_owned ~n edge_list =
   let adjncy = Array.make nd 0 in
   let dart_uedge = Array.make nd 0 in
   let dart_rev = Array.make nd 0 in
+  let edge_dart = Array.make !m 0 in
   let fill = Array.sub xadj 0 n in
-  (* [edge_list] is lex-sorted, so each slice comes out sorted: vertex
-     [v] first receives its lower neighbors (edges [(u, v)], increasing
-     [u]), then its higher neighbors (edges [(v, w)], increasing [w]).
-     Slot [su] in [u]'s slice holds neighbor [v], i.e. the dart [v -> u];
-     its reversal [u -> v] is the matching slot in [v]'s slice — both are
-     known here, so the involution costs nothing extra to record. *)
-  Array.iteri
-    (fun e (u, v) ->
-      let su = fill.(u) and sv = fill.(v) in
-      adjncy.(su) <- v;
-      dart_uedge.(su) <- e;
-      adjncy.(sv) <- u;
-      dart_uedge.(sv) <- e;
-      dart_rev.(su) <- sv;
-      dart_rev.(sv) <- su;
-      fill.(u) <- su + 1;
-      fill.(v) <- sv + 1)
-    edge_list;
-  let adj =
-    Array.init n (fun v -> Array.sub adjncy xadj.(v) (xadj.(v + 1) - xadj.(v)))
-  in
-  { n; xadj; adjncy; dart_uedge; dart_rev; edge_list; adj }
-
-(* [order] stably sorted by [key.(i)], a vertex id: one counting sort. *)
-let sort_by_vertex ~n (key : int array) (order : int array) =
-  let start = Array.make (n + 1) 0 in
-  Array.iter (fun i -> start.(key.(i) + 1) <- start.(key.(i) + 1) + 1) order;
-  for k = 1 to n do
-    start.(k) <- start.(k) + start.(k - 1)
+  (* The edges are lex-sorted, so each slice comes out sorted: vertex [v]
+     first receives its lower neighbors (edges [(u, v)], increasing [u]),
+     then its higher neighbors (edges [(v, w)], increasing [w]). Slot
+     [su] in [u]'s slice holds neighbor [v], i.e. the dart [v -> u]; its
+     reversal [u -> v] is the matching slot [sv] in [v]'s slice — both
+     are known here, so the involution costs nothing extra to record. *)
+  for e = 0 to !m - 1 do
+    let u = lo.(e) and v = hi.(e) in
+    let su = fill.(u) and sv = fill.(v) in
+    adjncy.(su) <- v;
+    dart_uedge.(su) <- e;
+    adjncy.(sv) <- u;
+    dart_uedge.(sv) <- e;
+    dart_rev.(su) <- sv;
+    dart_rev.(sv) <- su;
+    edge_dart.(e) <- sv;
+    fill.(u) <- su + 1;
+    fill.(v) <- sv + 1
   done;
-  let sorted = Array.make (Array.length order) 0 in
-  Array.iter
-    (fun i ->
-      let k = key.(i) in
-      sorted.(start.(k)) <- i;
-      start.(k) <- start.(k) + 1)
-    order;
-  sorted
+  { n; xadj; adjncy; dart_uedge; dart_rev; edge_dart }
 
-let of_edges ~n edges =
-  let raw = List.length edges in
-  let lo = Array.make raw 0 and hi = Array.make raw 0 in
-  List.iteri
-    (fun i (u, v) ->
-      check_vertex n u;
-      check_vertex n v;
-      let (a, b) = normalize_edge u v in
-      lo.(i) <- a;
-      hi.(i) <- b)
-    edges;
-  (* Lexicographic order in O(n + m): by [hi], then stably by [lo]. *)
-  let order =
-    sort_by_vertex ~n lo (sort_by_vertex ~n hi (Array.init raw Fun.id))
-  in
-  (* Dedup in place: [order.(0 .. m-1)] holds the distinct edges so far. *)
-  let m = ref 0 in
-  for j = 0 to raw - 1 do
-    let i = order.(j) in
-    if !m = 0 || lo.(i) <> lo.(order.(!m - 1)) || hi.(i) <> hi.(order.(!m - 1))
-    then begin
-      order.(!m) <- i;
-      incr m
-    end
-  done;
-  of_edge_list_owned ~n
-    (Array.init !m (fun j -> (lo.(order.(j)), hi.(order.(j)))))
-
-let of_normalized_sorted_unchecked ~n edge_list = of_edge_list_owned ~n edge_list
-
-let empty n = of_edges ~n []
+let empty n = assemble ~n ~raw:0 [||] [||]
 let n t = t.n
-let m t = Array.length t.edge_list
+let m t = Array.length t.edge_dart
 let degree t v = t.xadj.(v + 1) - t.xadj.(v)
-let neighbors t v = t.adj.(v)
+let neighbors t v = Array.sub t.adjncy t.xadj.(v) (degree t v)
 
 let iter_neighbors t v f =
   for i = t.xadj.(v) to t.xadj.(v + 1) - 1 do
@@ -148,8 +141,14 @@ let mem_edge t u v =
   && u >= 0 && v >= 0 && u < t.n && v < t.n
   && slice_find t.adjncy t.xadj.(v) t.xadj.(v + 1) u >= 0
 
-let edges t = Array.to_list t.edge_list
-let iter_edges t f = Array.iter (fun (u, v) -> f u v) t.edge_list
+let edge_of_index t i =
+  let d = t.edge_dart.(i) in
+  (t.adjncy.(d), t.adjncy.(t.dart_rev.(d)))
+
+let edges t = List.init (m t) (edge_of_index t)
+
+let iter_edges t f =
+  Array.iter (fun d -> f t.adjncy.(d) t.adjncy.(t.dart_rev.(d))) t.edge_dart
 
 let fold_vertices t ~init ~f =
   let acc = ref init in
@@ -176,21 +175,25 @@ let dart_edges t = t.dart_uedge
 let dart_reversals t = t.dart_rev
 
 let edge_index t u v =
-  (* Self-loops are an [Invalid_argument], as they always were. *)
-  ignore (normalize_edge u v : edge);
+  if u = v then invalid_arg "Gr.normalize_edge: self-loop";
   t.dart_uedge.(dart t ~src:u ~dst:v)
 
-let edge_of_index t i = t.edge_list.(i)
-
 let induced_by t ~index old_of_new =
-  let sub_edges = ref [] in
+  (* The members' degrees bound the edge count. *)
+  let cap = Array.fold_left (fun acc v -> acc + degree t v) 0 old_of_new in
+  let a = Array.make cap 0 and b = Array.make cap 0 in
+  let raw = ref 0 in
   Array.iteri
     (fun i v ->
       iter_neighbors t v (fun w ->
           let j = index w in
-          if j > i then sub_edges := (i, j) :: !sub_edges))
+          if j > i then begin
+            a.(!raw) <- i;
+            b.(!raw) <- j;
+            incr raw
+          end))
     old_of_new;
-  of_edges ~n:(Array.length old_of_new) !sub_edges
+  assemble ~n:(Array.length old_of_new) ~raw:!raw a b
 
 let induced t vs =
   let k = List.length vs in
@@ -205,11 +208,25 @@ let induced t vs =
   let index w = match Hashtbl.find_opt new_idx w with Some j -> j | None -> -1 in
   (induced_by t ~index old_of_new, old_of_new, fun v -> Hashtbl.find new_idx v)
 
-let add_edges t extra =
-  of_edges ~n:t.n (extra @ Array.to_list t.edge_list)
-
 let union_vertices t ~more extra =
-  of_edges ~n:(t.n + more) (extra @ Array.to_list t.edge_list)
+  if more < 0 then invalid_arg "Gr.union_vertices: negative ~more";
+  let k = List.length extra and m = m t in
+  let a = Array.make (k + m) 0 and b = Array.make (k + m) 0 in
+  List.iteri
+    (fun i (u, v) ->
+      a.(i) <- u;
+      b.(i) <- v)
+    extra;
+  Array.iteri
+    (fun e d ->
+      a.(k + e) <- t.adjncy.(d);
+      b.(k + e) <- t.adjncy.(t.dart_rev.(d)))
+    t.edge_dart;
+  assemble ~n:(t.n + more) ~raw:(k + m) a b
+
+let of_edges ~n edges =
+  if n < 0 then invalid_arg "Gr.of_edges: negative n";
+  union_vertices (empty 0) ~more:n edges
 
 let relabel t perm =
   if Array.length perm <> t.n then invalid_arg "Gr.relabel: bad permutation";
@@ -220,8 +237,9 @@ let relabel t perm =
       if seen.(p) then invalid_arg "Gr.relabel: not a permutation";
       seen.(p) <- true)
     perm;
-  of_edges ~n:t.n
-    (Array.to_list (Array.map (fun (u, v) -> (perm.(u), perm.(v))) t.edge_list))
+  let a = Array.map (fun d -> perm.(t.adjncy.(d))) t.edge_dart in
+  let b = Array.map (fun d -> perm.(t.adjncy.(t.dart_rev.(d)))) t.edge_dart in
+  assemble ~n:t.n ~raw:(m t) a b
 
 let pp ppf t =
   Format.fprintf ppf "@[<v>graph n=%d m=%d" t.n (m t);

@@ -9,6 +9,9 @@
     id-permuted copies for tests that must not depend on labeling. *)
 
 type t
+(** The CSR dart tables (see {!section-darts}) plus one [int] per edge,
+    its dart from the lower endpoint, in lexicographic edge order. Every
+    constructor goes through one checked, [O(n + m)] assembly. *)
 
 type edge = int * int
 (** An undirected edge, normalized so that [fst e < snd e]. The paper's
@@ -22,18 +25,10 @@ val normalize_edge : int -> int -> edge
 
 val of_edges : n:int -> (int * int) list -> t
 (** [of_edges ~n edges] builds the graph with [n] vertices and the given
-    edges. Duplicate edges are collapsed. Runs in [O(n + m)]: two stable
-    counting sorts put the normalized edges in lexicographic order.
+    edges, in any orientation and order. Duplicate edges are collapsed.
+    Runs in [O(n + m)]: two stable counting sorts put the normalized edges
+    in lexicographic order.
     @raise Invalid_argument on self-loops or out-of-range endpoints. *)
-
-val of_normalized_sorted_unchecked : n:int -> edge array -> t
-(** CSR assembly from an edge array the caller guarantees is already
-    normalized ([u < v]), lexicographically sorted, duplicate-free, and
-    in range — the validation, sorts and dedup of {!of_edges} are
-    skipped and the array is owned by the graph afterwards. The
-    incremental maintainer's scoped re-runs sit on this path: it rebuilds
-    a scope subgraph per update. Violating the contract silently corrupts
-    the dart tables. *)
 
 val empty : int -> t
 (** [empty n] is the edgeless graph on [n] vertices. *)
@@ -48,10 +43,10 @@ val m : t -> int
 
 val degree : t -> int -> int
 val neighbors : t -> int -> int array
-(** Neighbors of a vertex in increasing order. The returned array is owned
-    by the graph; callers must not mutate it. Callers that only iterate
-    should prefer {!iter_neighbors} / {!fold_neighbors}, which expose no
-    mutable escape hatch and allocate nothing. *)
+(** Neighbors of a vertex in increasing order, as a fresh array the
+    caller owns: each call allocates [degree g v] words. Callers that only
+    iterate should use {!iter_neighbors} / {!fold_neighbors}, which
+    allocate nothing. *)
 
 val iter_neighbors : t -> int -> (int -> unit) -> unit
 (** [iter_neighbors g v f] applies [f] to each neighbor of [v] in
@@ -74,11 +69,14 @@ val fold_vertices : t -> init:'a -> f:('a -> int -> 'a) -> 'a
 
 val edge_index : t -> int -> int -> int
 (** A dense index in [0 .. m-1] for an existing edge, independent of
-    endpoint order. @raise Not_found if the edge is absent. *)
+    endpoint order. Indices follow the lexicographic order of {!edges}.
+    @raise Not_found if the edge is absent.
+    @raise Invalid_argument on a self-loop ([u = v]). *)
 
 val edge_of_index : t -> int -> edge
+(** The normalized edge with the given index: the inverse of {!edge_index}. *)
 
-(** {1 Darts (directed edges)}
+(** {1:darts Darts (directed edges)}
 
     A {e dart} is a directed edge [src -> dst] with a dense id in
     [0 .. darts g - 1]. Ids are grouped by head: the darts pointing into
@@ -142,13 +140,14 @@ val induced_by : t -> index:(int -> int) -> int array -> t
     it lets a caller that already keeps such an index (a reusable stamp
     array, say) skip building one. *)
 
-val add_edges : t -> (int * int) list -> t
-(** A copy of the graph with the given extra edges (duplicates collapsed). *)
-
 val union_vertices : t -> more:int -> (int * int) list -> t
-(** [union_vertices g ~more extra] extends [g] with [more] fresh vertices
-    (numbered [n g .. n g + more - 1]) and the extra edges. Used by the
-    apex/stub construction of the constrained embedder. *)
+(** [union_vertices g ~more extra] extends [g] with [more >= 0] fresh
+    vertices (numbered [n g .. n g + more - 1]) and the extra edges: the
+    graph [of_edges ~n:(n g + more) (extra @ edges g)], built without
+    listing [g]'s edges. [~more:0] adds edges only. Used by the apex/stub
+    construction of the constrained embedder.
+    @raise Invalid_argument if [more < 0], or on a self-loop or
+    out-of-range endpoint in [extra]. *)
 
 val relabel : t -> int array -> t
 (** [relabel g perm] renames vertex [v] to [perm.(v)]; [perm] must be a

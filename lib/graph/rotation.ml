@@ -100,7 +100,7 @@ let mirror t =
     (Array.map (fun r -> Array.of_list (List.rev (Array.to_list r))) t.rot)
 
 let of_sorted_adjacency g =
-  make g (Array.init (Gr.n g) (fun v -> Array.copy (Gr.neighbors g v)))
+  make g (Array.init (Gr.n g) (Gr.neighbors g))
 
 (* Iterate the orbits of [face_next]: calls [start d] at the first dart
    of each face and [step d] for every dart (in face order). *)

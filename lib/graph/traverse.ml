@@ -102,17 +102,17 @@ let dfs g root =
     incr filled
   in
   visit root root;
+  let xadj = Gr.dart_offsets g and adjncy = Gr.dart_sources g in
   let stack = Stack.create () in
-  Stack.push (root, ref 0) stack;
+  Stack.push (root, ref xadj.(root)) stack;
   while not (Stack.is_empty stack) do
     let (v, next) = Stack.top stack in
-    let nbrs = Gr.neighbors g v in
-    if !next < Array.length nbrs then begin
-      let w = nbrs.(!next) in
+    if !next < xadj.(v + 1) then begin
+      let w = adjncy.(!next) in
       incr next;
       if pre_index.(w) < 0 then begin
         visit w v;
-        Stack.push (w, ref 0) stack
+        Stack.push (w, ref xadj.(w)) stack
       end
     end
     else ignore (Stack.pop stack)

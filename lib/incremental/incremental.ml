@@ -323,34 +323,17 @@ let build_local t slots extra =
     end;
     t.vdata.(w)
   in
-  let count =
-    List.length slots + match extra with Some _ -> 1 | None -> 0
+  (* Local ids follow first sight, the second endpoint of a pair first. *)
+  let pair a b =
+    let lb = lid b in
+    (lid a, lb)
   in
-  let las = Array.make (max 1 count) 0 and lbs = Array.make (max 1 count) 0 in
-  let idx = ref 0 in
-  let push a b =
-    let a, b = if a < b then (a, b) else (b, a) in
-    las.(!idx) <- a;
-    lbs.(!idx) <- b;
-    incr idx
-  in
-  List.iter
-    (fun sl -> push (lid t.dst.((2 * sl) + 1)) (lid t.dst.(2 * sl)))
-    slots;
-  (match extra with None -> () | Some (u, v) -> push (lid u) (lid v));
+  let edges = List.map (fun sl -> pair t.dst.((2 * sl) + 1) t.dst.(2 * sl)) slots in
+  let edges = match extra with None -> edges | Some (u, v) -> pair u v :: edges in
   let k = !nloc in
   let old_of_local = Array.make (max 1 k) (-1) in
   List.iteri (fun i w -> old_of_local.(k - 1 - i) <- w) !verts;
-  (* Slots are distinct edges (and the extra pair is absent by the
-     caller's duplicate check), so the packed keys are unique: a
-     monomorphic int sort yields the normalized, lex-sorted,
-     duplicate-free array the unchecked CSR constructor wants —
-     the generic of_edges sort was the hottest non-kernel cost of a
-     scoped re-run. *)
-  let keys = Array.init count (fun i -> (las.(i) * k) + lbs.(i)) in
-  Array.sort (fun (a : int) b -> compare a b) keys;
-  let edge_arr = Array.map (fun key -> (key / k, key mod k)) keys in
-  (Gr.of_normalized_sorted_unchecked ~n:k edge_arr, old_of_local)
+  (Gr.of_edges ~n:k edges, old_of_local)
 
 (* Re-tighten one stale component record: scoped Tarjan re-decomposition
    of its live slots, fresh exact records, stale root abandoned. *)

@@ -28,19 +28,19 @@ let find_cycle g =
   let state = Array.make n 0 in
   (* 0 unvisited, 1 on stack, 2 done *)
   let found = ref None in
+  let xadj = Gr.dart_offsets g and adjncy = Gr.dart_sources g in
   let stack = Stack.create () in
   state.(0) <- 1;
-  Stack.push (0, ref 0) stack;
+  Stack.push (0, ref xadj.(0)) stack;
   while !found = None && not (Stack.is_empty stack) do
     let (u, next) = Stack.top stack in
-    let nbrs = Gr.neighbors g u in
-    if !next < Array.length nbrs then begin
-      let w = nbrs.(!next) in
+    if !next < xadj.(u + 1) then begin
+      let w = adjncy.(!next) in
       incr next;
       if state.(w) = 0 then begin
         parent.(w) <- u;
         state.(w) <- 1;
-        Stack.push (w, ref 0) stack
+        Stack.push (w, ref xadj.(w)) stack
       end
       else if state.(w) = 1 && w <> parent.(u) then begin
         let rec up v acc = if v = w then v :: acc else up parent.(v) (v :: acc) in

@@ -88,7 +88,7 @@ let triangulate g =
             done)
           (Rotation.faces rot);
         if !fresh <> [] then begin
-          current := Gr.add_edges !current !fresh;
+          current := Gr.union_vertices !current ~more:0 !fresh;
           continue := true
         end
   done;

@@ -29,7 +29,7 @@ let test_safety_definition () =
   check_bool "two trivial arcs safe" true
     (Partition.is_safe g [ [ 0; 1; 2 ]; [ 3; 4; 5 ] ]);
   (* A non-trivial part with disconnected complement is unsafe. *)
-  let g2 = Gr.add_edges (Gen.cycle 6) [ (0, 2) ] in
+  let g2 = Gr.union_vertices (Gen.cycle 6) ~more:0 [ (0, 2) ] in
   check_bool "non-trivial triangle part, complement disconnected" false
     (Partition.is_safe g2 [ [ 0; 1; 2; 3 ]; [ 4 ]; [ 5 ] ]
     && not (Partition.is_safe g2 [ [ 0; 1; 2; 3 ] ]));

@@ -23,8 +23,42 @@ let test_out_of_range_rejected () =
      Alcotest.fail "expected Invalid_argument"
    with Invalid_argument _ -> ())
 
-(* [of_edges] against a reference: normalize, sort, dedup, then the
-   unchecked CSR assembly. Random lists repeat edges and give them in both
+(* The CSR tables of the edge list [es] (normalized, lex-sorted,
+   duplicate-free), built naively: offsets from degrees, each slice the
+   sorted neighbor list, dart -> edge by search in [es], reversal by
+   search in the other endpoint's slice. *)
+let reference_csr ~n es =
+  let nbrs v =
+    List.sort compare
+      (List.filter_map
+         (fun (a, b) -> if a = v then Some b else if b = v then Some a else None)
+         es)
+  in
+  let slices = Array.init n nbrs in
+  let offsets = Array.make (n + 1) 0 in
+  Array.iteri (fun v l -> offsets.(v + 1) <- offsets.(v) + List.length l) slices;
+  let sources = Array.concat (List.map Array.of_list (Array.to_list slices)) in
+  let dst = Array.make (Array.length sources) 0 in
+  Array.iteri
+    (fun v l -> List.iteri (fun i _ -> dst.(offsets.(v) + i) <- v) l)
+    slices;
+  let index x l =
+    let rec go i = function
+      | [] -> raise Not_found
+      | y :: r -> if y = x then i else go (i + 1) r
+    in
+    go 0 l
+  in
+  let dart_edge =
+    Array.mapi (fun d u -> index (min u dst.(d), max u dst.(d)) es) sources
+  in
+  let dart_rev =
+    Array.mapi (fun d u -> offsets.(u) + index dst.(d) slices.(u)) sources
+  in
+  (offsets, sources, dart_edge, dart_rev, slices)
+
+(* [of_edges] against a reference: normalize, sort, dedup, then the naive
+   CSR tables above. Random lists repeat edges and give them in both
    orientations. *)
 let prop_of_edges_matches_sorted_reference =
   QCheck.Test.make ~name:"of_edges matches sort-and-dedup reference"
@@ -46,20 +80,21 @@ let prop_of_edges_matches_sorted_reference =
             (List.filteri (fun i _ -> i mod 3 = 0) edges)
       in
       let g = Gr.of_edges ~n edges in
-      let r =
-        Gr.of_normalized_sorted_unchecked ~n
-          (Array.of_list
-             (List.sort_uniq compare
-                (List.map (fun (u, v) -> Gr.normalize_edge u v) edges)))
+      let es =
+        List.sort_uniq compare
+          (List.map (fun (u, v) -> Gr.normalize_edge u v) edges)
+      in
+      let (offsets, sources, dart_edge, dart_rev, slices) =
+        reference_csr ~n es
       in
       Gr.n g = n
-      && Gr.edges g = Gr.edges r
-      && Gr.dart_offsets g = Gr.dart_offsets r
-      && Gr.dart_sources g = Gr.dart_sources r
-      && Gr.dart_edges g = Gr.dart_edges r
-      && Gr.dart_reversals g = Gr.dart_reversals r
+      && Gr.edges g = es
+      && Gr.dart_offsets g = offsets
+      && Gr.dart_sources g = sources
+      && Gr.dart_edges g = dart_edge
+      && Gr.dart_reversals g = dart_rev
       && List.for_all
-           (fun v -> Gr.neighbors g v = Gr.neighbors r v)
+           (fun v -> Gr.neighbors g v = Array.of_list slices.(v))
            (List.init n Fun.id))
 
 let test_neighbors_sorted () =
@@ -135,9 +170,94 @@ let test_induced_duplicate_rejected () =
      Alcotest.fail "expected Invalid_argument"
    with Invalid_argument _ -> ())
 
-let test_union_vertices () =
-  let g = Gen.path 3 in
-  let h = Gr.union_vertices g ~more:2 [ (3, 0); (4, 2); (3, 4) ] in
+(* Every view of the edge numbering agrees: [edges] and [iter_edges] list
+   the edges in strict lexicographic order, and [edge_of_index],
+   [edge_index] (both orientations) and [dart_edge] (both darts) name the
+   same edge by the same index. *)
+let edge_indexing_consistent g =
+  let es = Gr.edges g in
+  let iterated = ref [] in
+  Gr.iter_edges g (fun u v -> iterated := (u, v) :: !iterated);
+  let rec strictly_sorted = function
+    | a :: (b :: _ as r) -> compare a b < 0 && strictly_sorted r
+    | _ -> true
+  in
+  List.length es = Gr.m g
+  && List.rev !iterated = es
+  && strictly_sorted es
+  && List.for_all (fun (u, v) -> u < v) es
+  && List.for_all Fun.id
+       (List.mapi
+          (fun i (u, v) ->
+            Gr.edge_of_index g i = (u, v)
+            && Gr.edge_index g u v = i
+            && Gr.edge_index g v u = i
+            && Gr.dart_edge g (Gr.dart g ~src:u ~dst:v) = i
+            && Gr.dart_edge g (Gr.dart g ~src:v ~dst:u) = i)
+          es)
+
+let same_graph g h =
+  Gr.n g = Gr.n h
+  && Gr.edges g = Gr.edges h
+  && Gr.dart_offsets g = Gr.dart_offsets h
+  && Gr.dart_sources g = Gr.dart_sources h
+  && Gr.dart_edges g = Gr.dart_edges h
+  && Gr.dart_reversals g = Gr.dart_reversals h
+
+(* [union_vertices] against [of_edges] of the concatenated edge list. The
+   extras repeat edges of [g] in both orientations, repeat each other and
+   touch the fresh vertices; a self-loop or an out-of-range endpoint among
+   them is rejected as [of_edges] rejects it. *)
+let prop_union_vertices =
+  QCheck.Test.make ~name:"union_vertices" ~count:200
+    QCheck.(triple (int_range 0 100000) (int_range 1 30) (int_range 0 4))
+    (fun (seed, n, more) ->
+      let rng = Random.State.make [| seed |] in
+      let pair n' =
+        let u = Random.State.int rng n' and v = Random.State.int rng n' in
+        if u = v then None else Some (u, v)
+      in
+      let random_edges n' len = List.filter_map (fun _ -> pair n') (List.init len Fun.id) in
+      let g = Gr.of_edges ~n (random_edges n (2 * n)) in
+      let n' = n + more in
+      let old = Gr.edges g in
+      let extra =
+        random_edges n' (Random.State.int rng (2 * n'))
+        @ List.filteri (fun i _ -> i mod 2 = 0) old
+        @ List.map (fun (u, v) -> (v, u)) (List.filteri (fun i _ -> i mod 3 = 0) old)
+        @ List.init more (fun i -> (n + i, Random.State.int rng (n + i)))
+      in
+      let extra = extra @ List.filteri (fun i _ -> i mod 2 = 1) extra in
+      let h = Gr.union_vertices g ~more extra in
+      let rejects f = try ignore (f ()); false with Invalid_argument _ -> true in
+      let v = Random.State.int rng n' in
+      let bad_extras = [ (v, v); (v, n'); (-1, v) ] in
+      same_graph h (Gr.of_edges ~n:n' (extra @ old))
+      && edge_indexing_consistent g
+      && edge_indexing_consistent h
+      && List.for_all
+           (fun bad ->
+             rejects (fun () -> Gr.union_vertices g ~more (bad :: extra))
+             && rejects (fun () -> Gr.of_edges ~n:n' (bad :: extra @ old)))
+           bad_extras)
+
+let test_bad_edge_index () =
+  Alcotest.check_raises "self-loop" (Invalid_argument "Gr.normalize_edge: self-loop")
+    (fun () -> ignore (Gr.edge_index (Gen.path 3) 1 1));
+  Alcotest.check_raises "absent" Not_found (fun () ->
+      ignore (Gr.edge_index (Gen.path 3) 0 2))
+
+let test_union_vertices_rejects () =
+  Alcotest.check_raises "negative ~more"
+    (Invalid_argument "Gr.union_vertices: negative ~more") (fun () ->
+      ignore (Gr.union_vertices (Gr.empty 3) ~more:(-1) []));
+  Alcotest.check_raises "self-loop extra"
+    (Invalid_argument "Gr.normalize_edge: self-loop") (fun () ->
+      ignore (Gr.union_vertices (Gen.path 3) ~more:1 [ (3, 3) ]));
+  Alcotest.check_raises "out-of-range extra"
+    (Invalid_argument "Gr: vertex 4 out of range [0, 4)") (fun () ->
+      ignore (Gr.union_vertices (Gen.path 3) ~more:1 [ (0, 4) ]));
+  let h = Gr.union_vertices (Gen.path 3) ~more:2 [ (3, 0); (4, 2); (3, 4) ] in
   check "n" 5 (Gr.n h);
   check "m" 5 (Gr.m h)
 
@@ -638,12 +758,15 @@ let () =
           Alcotest.test_case "sorted" `Quick test_neighbors_sorted;
           Alcotest.test_case "mem_edge" `Quick test_mem_edge;
           Alcotest.test_case "edge_index" `Quick test_edge_index_roundtrip;
+          Alcotest.test_case "bad edge_index" `Quick test_bad_edge_index;
           Alcotest.test_case "iter/fold neighbors" `Quick
             test_iter_fold_neighbors;
           Alcotest.test_case "darts" `Quick test_darts;
           Alcotest.test_case "induced" `Quick test_induced;
           Alcotest.test_case "induced dup" `Quick test_induced_duplicate_rejected;
-          Alcotest.test_case "union_vertices" `Quick test_union_vertices;
+          QCheck_alcotest.to_alcotest prop_union_vertices;
+          Alcotest.test_case "union_vertices rejects" `Quick
+            test_union_vertices_rejects;
           Alcotest.test_case "relabel" `Quick test_relabel_preserves_degrees;
         ] );
       ( "unionfind",

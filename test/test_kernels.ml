@@ -104,7 +104,7 @@ let add_random_edges ~seed k g =
       incr got
     end
   done;
-  Gr.add_edges g !added
+  Gr.union_vertices g ~more:0 !added
 
 let random_family_props =
   [
@@ -163,7 +163,7 @@ let test_witness_maxplanar_2000 () =
   while Gr.mem_edge g0 0 !v do
     incr v
   done;
-  let g = Gr.add_edges g0 [ (0, !v) ] in
+  let g = Gr.union_vertices g0 ~more:0 [ (0, !v) ] in
   check_bool "perturbed graph is non-planar" false (Lr.is_planar g);
   match Kuratowski.witness g with
   | None -> Alcotest.fail "no witness extracted from a non-planar graph"
